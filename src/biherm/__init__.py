@@ -1,90 +1,50 @@
 """Strongly bihermitian structures on Hopf surfaces: construction by
 Hamiltonian deformation of radial potentials, and numerical certification of
 every defining identity; plus the curvature-sign exclusion for Inoue
-surfaces."""
+surfaces.
 
-from .certificate import (
-    BihermitianSample,
-    CertificateConfig,
-    CertificateReport,
-    StructureField,
-    assemble_structure,
-    check_differential_identities,
-    check_gamma_equivariance,
-    check_integrability,
-    check_pointwise_algebra,
-    run_certificate,
-)
-from .deformation import (
-    DeformationState,
-    QuotientTriple,
-    hamiltonian_field,
-    integrate_flow,
-    positivity_sweep,
-    pullback_psi,
-    quotient_triple,
-    select_deformation_time,
-    t_zero_derivative_check,
-)
+The package namespace holds what the command line uses; everything else is
+reached through its module (``biherm.exterior``, ``biherm.certificate``,
+...)."""
+
+from .certificate import CertificateConfig, StructureField, run_certificate
+from .deformation import positivity_sweep, select_deformation_time
 from .errors import (
     AmbiguousRadialTime,
-    BihermError,
-    ConstraintViolation,
-    DegenerateForm,
     GroupDataError,
     NotFinite,
     NotPlurisubharmonic,
     NotPositive,
-    SingularMetric,
     StepSizeUnderflow,
 )
-from .exterior import (
-    HOLO_IM,
-    HOLO_RE,
-    J_STD,
-    KAHLER_STD,
-    acs_from_form_pair,
-    exterior_derivative,
-    hodge_star,
-    invariant_part,
-    metric_from_form,
-    nijenhuis,
-    wedge_to_volume,
-)
-from .hopf_groups import (
-    CaseLabel,
-    ContractionParams,
-    ContractionPower,
-    HopfGroupData,
-    UnitaryElement,
-    apply_group_element,
-    canonical_multiplier,
-    classify,
-    group_closure,
-    group_data_from_json,
-    jacobian,
-    real_type_check,
-)
-from .inoue import (
-    InoueGenerator,
-    InoueGroupData,
-    curvature_form,
-    degree_sign_report,
-    inoue_data_from_json,
-    verify_weight_invariance,
-)
-from .jets import ComplexJet, JetScalar, jet_constant, jet_variables
-from .potentials import (
-    FlowSpec,
-    PotentialEval,
-    PotentialField,
-    flow_apply,
-    flow_spec_for,
-    fundamental_annulus_sample,
-    potential,
-    radial_time,
-    verify_h_invariance,
-    verify_rescaling,
-)
+from .hopf_groups import classify, group_data_from_json
+from .inoue import degree_sign_report, inoue_data_from_json
+from .oracles import run_oracles
+from .potentials import flow_spec_for, fundamental_annulus_sample
+from .reporting import canonical_json, env_threads, write_text
+
+__all__ = [
+    "AmbiguousRadialTime",
+    "CertificateConfig",
+    "GroupDataError",
+    "NotFinite",
+    "NotPlurisubharmonic",
+    "NotPositive",
+    "StepSizeUnderflow",
+    "StructureField",
+    "canonical_json",
+    "classify",
+    "degree_sign_report",
+    "env_threads",
+    "flow_spec_for",
+    "fundamental_annulus_sample",
+    "group_data_from_json",
+    "inoue_data_from_json",
+    "positivity_sweep",
+    "run_certificate",
+    "run_oracles",
+    "select_deformation_time",
+    "write_text",
+]
 
 __version__ = "0.1.0"

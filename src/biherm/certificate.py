@@ -36,9 +36,10 @@ from .deformation import (
 )
 from .errors import NotPositive
 from .exterior import (
+    DEFAULT_FD_STEP,
     HOLO_RE,
     J_STD,
-    TRIPLES,
+    StencilCloud,
     acs_from_form_pair,
     dense_from_three,
     hodge_star,
@@ -50,6 +51,8 @@ from .exterior import (
     min_metric_eigenvalue,
     nijenhuis_from_partials,
     norm_sq_oneform,
+    stencil_step,
+    three_from_dense,
     wedge_one_two,
     wedge_to_volume,
 )
@@ -161,21 +164,16 @@ class BihermitianSample:
     psi_minus_check: np.ndarray
     tau: np.ndarray
     margin: np.ndarray
-    theta_plus: np.ndarray | None = None
-    theta_minus: np.ndarray | None = None
 
     def subset(self, idx) -> "BihermitianSample":
-        kwargs = {}
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            kwargs[fld.name] = value[idx] if isinstance(value, np.ndarray) and value.ndim > 0 and fld.name != "t" else value
-        return BihermitianSample(**kwargs)
+        return replace(self, **{fld.name: getattr(self, fld.name)[idx]
+                                for fld in fields(self) if fld.name != "t"})
 
 
 def assemble_from_triple(triple: QuotientTriple, state: DeformationState,
                          check_positivity: bool = True) -> BihermitianSample:
     """Pointwise assembly (no Lee forms; those need a field, see
-    ``StructureField.lee_forms`` / ``assemble_structure``)."""
+    ``StructureField.lee_forms``)."""
     phi = triple.phi
     psi_minus = triple.psi_minus
     j_minus = acs_from_form_pair(phi, psi_minus)
@@ -207,54 +205,6 @@ def assemble_from_triple(triple: QuotientTriple, state: DeformationState,
     )
 
 
-class StencilCloud:
-    """Richardson stencil (+-h, +-h/2 in each direction) around base points."""
-
-    _OFFSETS = (1.0, -1.0, 0.5, -0.5)
-
-    def __init__(self, x: np.ndarray, h: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        h = np.asarray(h, dtype=float)
-        disp = np.zeros((4, 4, 4))
-        for d in range(4):
-            for o, s in enumerate(self._OFFSETS):
-                disp[d, o, d] = s
-        self.base_shape = x.shape[:-1]
-        self.h = h
-        pts = x[..., None, None, :] + h[..., None, None, None] * disp
-        self.points = pts.reshape(-1, 4)
-
-    def partials(self, values: np.ndarray) -> np.ndarray:
-        """values evaluated at self.points -> derivative array with the
-        direction axis inserted after the batch axes (O(h^4))."""
-        rest = values.shape[1:]
-        v = values.reshape(self.base_shape + (4, 4) + rest)
-        axis = len(self.base_shape) + 1  # the offsets axis
-        v0, v1, v2, v3 = (np.take(v, o, axis=axis) for o in range(4))
-        h = self.h.reshape(self.base_shape + (1,) * (1 + len(rest)))
-        d1 = (v0 - v1) / (2.0 * h)
-        d2 = (v2 - v3) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    def d_two_form(self, values: np.ndarray) -> np.ndarray:
-        """Exterior derivative of a 2-form field as sorted-triple comps."""
-        p = self.partials(values)  # (..., d, i, j)
-        comps = [p[..., i, j, k] - p[..., j, i, k] + p[..., k, i, j]
-                 for (i, j, k) in TRIPLES]
-        return np.stack(comps, axis=-1)
-
-    def d_one_form(self, values: np.ndarray) -> np.ndarray:
-        """Exterior derivative of a 1-form field as a 2-form."""
-        p = self.partials(values)  # (..., d, j)
-        return p - np.swapaxes(p, -1, -2)
-
-    def d_three_form(self, comps: np.ndarray) -> np.ndarray:
-        """Exterior derivative of a triple-component 3-form field (a scalar
-        coefficient on the volume form)."""
-        p = self.partials(comps)  # (..., d, triple)
-        return p[..., 0, 3] - p[..., 1, 2] + p[..., 2, 1] - p[..., 3, 0]
-
-
 def lee_theta_from_cloud(center, cloud: StencilCloud, sc):
     """(theta_plus, theta_minus) = J_pm(delta^g F_pm) with delta = -*d*.
 
@@ -281,13 +231,12 @@ class StructureField:
     """
 
     def __init__(self, spec: FlowSpec, t: float, ode_tol: float = DEFAULT_ODE_TOL,
-                 fd_step: float = 1e-3, threads: int | None = None):
+                 fd_step: float = DEFAULT_FD_STEP, threads: int | None = None):
         self.spec = spec
         self.t = float(t)
         self.ode_tol = float(ode_tol)
         self.fd_step = float(fd_step)
         self.threads = env_threads(threads)
-        self.pf = PotentialField(spec)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -302,43 +251,19 @@ class StructureField:
 
         def run(chunk):
             s = self._assemble_chunk(chunk)
-            return {f.name: getattr(s, f.name) for f in fields(s)
-                    if isinstance(getattr(s, f.name), np.ndarray)
-                    and f.name not in ("theta_plus", "theta_minus")}
+            return {f.name: getattr(s, f.name) for f in fields(s) if f.name != "t"}
 
-        parts = chunked_map(run, x, threads=self.threads)
-        return BihermitianSample(t=self.t, theta_plus=None, theta_minus=None,
-                                 **parts)
-
-    def step_for(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return scale * self.fd_step * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+        return BihermitianSample(t=self.t, **chunked_map(run, x, threads=self.threads))
 
     # -- Lee forms -------------------------------------------------------------
 
-    def lee_forms(self, x: np.ndarray, h: np.ndarray | None = None):
-        """(theta_plus, theta_minus) at x via one finite-difference layer."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        center = self.assemble(x)
-        cloud = StencilCloud(x, self.step_for(x) if h is None else np.asarray(h))
+    def lee_forms(self, center: BihermitianSample):
+        """(theta_plus, theta_minus) at the points of an assembled sample via
+        one finite-difference layer, with the stencil cloud and the
+        structure assembled on it."""
+        cloud = StencilCloud(center.x, stencil_step(center.x, self.fd_step))
         sc = self.assemble(cloud.points)
-        return lee_theta_from_cloud(center, cloud, sc), center, cloud, sc
-
-
-def assemble_structure(spec: FlowSpec, triple: QuotientTriple,
-                       state: DeformationState, with_lee: bool = True,
-                       ode_tol: float = DEFAULT_ODE_TOL,
-                       fd_step: float = 1e-3) -> BihermitianSample:
-    """Full assembly at the state's base points, including Lee forms.
-
-    Raises NotPositive when the invariant part fails positivity at any point.
-    """
-    sample = assemble_from_triple(triple, state, check_positivity=True)
-    if not with_lee:
-        return sample
-    fld = StructureField(spec, state.t, ode_tol, fd_step)
-    (theta_plus, theta_minus), _, _, _ = fld.lee_forms(state.x)
-    return replace(sample, theta_plus=theta_plus, theta_minus=theta_minus)
+        return lee_theta_from_cloud(center, cloud, sc), cloud, sc
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +329,23 @@ def check_pointwise_algebra(s: BihermitianSample) -> dict[str, np.ndarray]:
     return out
 
 
-def check_differential_identities(field: StructureField, x: np.ndarray,
-                                  h: np.ndarray | None = None,
-                                  outer_scale: float = 10.0) -> dict[str, np.ndarray]:
+#: Outer step of the nested layer as a multiple of fd_step.
+OUTER_SCALE = 10.0
+
+
+def check_differential_identities(field: StructureField,
+                                  center: BihermitianSample) -> dict[str, np.ndarray]:
     """Residuals of every identity that involves derivatives of the fields.
 
     One shared Richardson cloud feeds the single-layer families (Leibniz
     rules of the quotient forms, the canonical-factor equation, the (1,2)
     component, the Nijenhuis tensor); the Lee-form scalar identity and the
     selfdual part of d(theta_+ + theta_-) nest a second cloud around the
-    first.  The outer layer uses a wider step (outer_scale * fd_step) to keep
-    roundoff amplification below its tier.
+    first.  The outer layer uses a wider step (OUTER_SCALE * fd_step) to keep
+    roundoff amplification below its tier.  ``center`` is the structure
+    already assembled at the base points.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    (theta_plus, theta_minus), center, cloud, sc = field.lee_forms(x, h)
+    (theta_plus, theta_minus), cloud, sc = field.lee_forms(center)
     out: dict[str, np.ndarray] = {}
 
     # quotient Leibniz rules d(form) = tau ^ form
@@ -457,10 +385,10 @@ def check_differential_identities(field: StructureField, x: np.ndarray,
     out["nijenhuis_j_minus"] = np.max(np.abs(n_tensor), axis=(-3, -2, -1))
 
     # nested layer: delta theta_pm and d(theta_+ + theta_-)
-    h_outer = field.step_for(x, scale=outer_scale)
-    outer = StencilCloud(x, h_outer)
+    outer = StencilCloud(center.x,
+                         stencil_step(center.x, OUTER_SCALE * field.fd_step))
     so = field.assemble(outer.points)
-    inner = StencilCloud(outer.points, field.step_for(outer.points))
+    inner = StencilCloud(outer.points, stencil_step(outer.points, field.fd_step))
     si = field.assemble(inner.points)
     theta_p_y, theta_m_y = lee_theta_from_cloud(so, inner, si)
 
@@ -469,9 +397,7 @@ def check_differential_identities(field: StructureField, x: np.ndarray,
     deltas = {}
     for name, theta_y in (("plus", theta_p_y), ("minus", theta_m_y)):
         star_theta = hodge_star_one(so.g, theta_y)
-        comps = np.stack([star_theta[..., a, b, c] for (a, b, c) in TRIPLES],
-                         axis=-1)
-        d_vol = outer.d_three_form(comps)
+        d_vol = outer.d_three_form(three_from_dense(star_theta))
         deltas[name] = -d_vol / np.sqrt(np.linalg.det(center.g))
     lhs = 2.0 * deltas["plus"] + ginv_norm_p
     rhs = 2.0 * deltas["minus"] + ginv_norm_m
@@ -488,30 +414,28 @@ def check_differential_identities(field: StructureField, x: np.ndarray,
     return out
 
 
-def check_integrability(jfield, x: np.ndarray, h: float | None = None) -> np.ndarray:
+def check_integrability(jfield, x: np.ndarray) -> np.ndarray:
     """Max Nijenhuis component of an arbitrary sampled J-field at x.
 
     ``jfield`` maps (k, 4) points to (k, 4, 4) endomorphisms; the detector is
     exercised against non-integrable synthetic fields in the tests.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    step = (1e-3 if h is None else h) * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-    cloud = StencilCloud(x, step)
+    cloud = StencilCloud(x, stencil_step(x))
     values = np.asarray(jfield(cloud.points))
     dj = cloud.partials(values)
     n_tensor = nijenhuis_from_partials(np.asarray(jfield(x)), dj)
     return np.max(np.abs(n_tensor), axis=(-3, -2, -1))
 
 
-def check_gamma_equivariance(field: StructureField, x: np.ndarray,
+def check_gamma_equivariance(field: StructureField, s0: BihermitianSample,
                              elements) -> dict[str, np.ndarray]:
     """Residuals of g and j_minus equivariance under deck transformations.
 
     For each element the structure computed at gamma(x) must agree with the
-    pushforward of the structure at x.
+    pushforward of the structure ``s0`` already assembled at x.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    s0 = field.assemble(x)
+    x = s0.x
     res_g = np.zeros(x.shape[0])
     res_j = np.zeros(x.shape[0])
     for elem in elements:
@@ -537,7 +461,7 @@ class CertificateConfig:
     n: int = 200
     seed: int = 7
     ode_tol: float = DEFAULT_ODE_TOL
-    fd_step: float = 1e-3
+    fd_step: float = DEFAULT_FD_STEP
     t_grid: tuple = DEFAULT_T_GRID
     tolerances: dict = field(default_factory=dict)
     threads: int | None = None
@@ -649,10 +573,11 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     potential_margin = float(np.min(min_metric_eigenvalue(
         metric_from_form(pot.ddc_f, J_STD))))
 
-    results: dict[str, np.ndarray] = {}
-    results["potential_rescaling"] = verify_rescaling(
+    # families evaluated at all n samples, restricted to the kept ones below
+    every: dict[str, np.ndarray] = {}
+    every["potential_rescaling"] = verify_rescaling(
         spec, ContractionPower(cfg.data.contraction, 1), samples)
-    results["potential_h_invariance"] = verify_h_invariance(
+    every["potential_h_invariance"] = verify_h_invariance(
         spec, closure, samples)
 
     sweep_rows = None
@@ -672,34 +597,34 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     triple = quotient_triple(spec, state)
     sample = assemble_from_triple(triple, state, check_positivity=False)
 
-    included = sample.margin > 0.0
-    excluded = int(np.sum(~included))
-    idx = np.nonzero(included)[0]
+    idx = np.nonzero(sample.margin > 0.0)[0]
+    excluded = cfg.n - idx.size
+    if idx.size == 0:
+        raise NotPositive(
+            "invariant part of the deformed form is not positive at any of "
+            f"the {cfg.n} samples at t = {t_star!r}; let the positivity sweep "
+            "choose t"
+        )
     kept = sample.subset(idx)
-    kept_x = samples[idx]
 
     f_end = pf.potential(state.x_t, check_positive=False).f.value
-    results["flow_preserves_f"] = (np.abs(f_end - triple.f) / triple.f)[idx]
+    every["flow_preserves_f"] = np.abs(f_end - triple.f) / triple.f
     pulled_phi = np.einsum("...ji,jk,...kl->...il", state.jac, HOLO_RE, state.jac)
-    results["flow_preserves_phi"] = _rel(pulled_phi, np.broadcast_to(
-        HOLO_RE, pulled_phi.shape))[idx]
-    for name, value in deformation_wedge_residuals(triple).items():
-        results[name] = value[idx]
+    every["flow_preserves_phi"] = _rel(pulled_phi, np.broadcast_to(
+        HOLO_RE, pulled_phi.shape))
+    every.update(deformation_wedge_residuals(triple))
+    results = {name: value[idx] for name, value in every.items()}
 
-    for name, value in check_pointwise_algebra(kept).items():
-        results[name] = value
-
+    results.update(check_pointwise_algebra(kept))
     if cfg.with_differential:
-        for name, value in check_differential_identities(field_, kept_x).items():
-            results[name] = value
-
+        results.update(check_differential_identities(field_, kept))
     elements = [ContractionPower(cfg.data.contraction, 1)]
     elements += [UnitaryElement(g) for g in cfg.data.h_generators]
-    for name, value in check_gamma_equivariance(field_, kept_x, elements).items():
-        results[name] = value
+    results.update(check_gamma_equivariance(field_, kept, elements))
 
     identities = {name: residual_stats(value) for name, value in results.items()}
-    passed = all(stats.max < tolerances[name]
+    # a pass needs every family at tier on exactly the kept samples
+    passed = all(stats.max < tolerances[name] and stats.count == idx.size
                  for name, stats in identities.items())
     return CertificateReport(
         params=cfg.echo(), case=label.to_json(), t=t_star, n=cfg.n,

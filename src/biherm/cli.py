@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .certificate import CertificateConfig, StructureField, run_certificate
+from .certificate import (
+    DEFAULT_TOLERANCES,
+    CertificateConfig,
+    StructureField,
+    run_certificate,
+)
 from .deformation import (
     positivity_sweep,
     select_deformation_time,
@@ -70,13 +76,33 @@ def _parse_t_grid(spec: str) -> tuple:
     return tuple(sorted({round(a + i * step, 12) for i in range(count + 1)}))
 
 
+def _finite_positive(flag: str, value) -> float:
+    """value as a float, or GroupDataError unless it is finite and > 0."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number > 0.0):
+        raise GroupDataError(f"{flag} must be a finite positive number, "
+                             f"got {value!r}")
+    return number
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise GroupDataError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _tol_overrides(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         name, _, value = pair.partition("=")
         if not _ or not name:
             raise GroupDataError(f"--tol-tier expects NAME=X, got {pair!r}")
-        out[name] = float(value)
+        if name not in DEFAULT_TOLERANCES:
+            raise GroupDataError(f"--tol-tier: unknown identity family {name!r}")
+        out[name] = _finite_positive(f"--tol-tier {name}", value)
     return out
 
 
@@ -89,13 +115,15 @@ def cmd_classify(args) -> int:
 
 def _certificate_config(args) -> CertificateConfig:
     data = group_data_from_json(_load_config(args.config))
+    if args.threads is not None:
+        _at_least_one("--threads", args.threads)
     cfg = CertificateConfig(
         data=data,
         t=args.t,
-        n=args.samples,
+        n=_at_least_one("--samples", args.samples),
         seed=args.seed,
-        ode_tol=args.ode_tol,
-        fd_step=args.fd_step,
+        ode_tol=_finite_positive("--ode-tol", args.ode_tol),
+        fd_step=_finite_positive("--fd-step", args.fd_step),
         tolerances=_tol_overrides(args.tol_tier),
         threads=env_threads(args.threads),
     )

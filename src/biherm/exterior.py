@@ -11,7 +11,9 @@ Conventions, fixed once and echoed into every report:
 * an endomorphism J acts on tangent vectors, (J v)_k = J[k, l] v_l, and on
   1-forms by (J a)(v) = -a(J v).
 
-Every function broadcasts over arbitrary leading batch axes.
+Every function broadcasts over arbitrary leading batch axes.  Derivatives
+of sampled fields come from one batched finite-difference engine,
+``StencilCloud``.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ KAHLER_STD = _two_form((0, 1, 1.0), (2, 3, 1.0))
 HOLO_RE = _two_form((0, 2, 1.0), (1, 3, -1.0))
 #: Imaginary part of dz1^dz2: dx1^dy2 + dy1^dx2.
 HOLO_IM = _two_form((0, 3, 1.0), (1, 2, 1.0))
-#: Inverse of HOLO_RE as a matrix (HOLO_RE squares to -Id).
-HOLO_RE_INV = -HOLO_RE
 
-for _m in (J_STD, KAHLER_STD, HOLO_RE, HOLO_IM, HOLO_RE_INV):
+for _m in (J_STD, KAHLER_STD, HOLO_RE, HOLO_IM):
     _m.setflags(write=False)
 
 
@@ -103,13 +103,6 @@ def realify(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_step(x: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Finite-difference step 1e-3 * max(1, |x|), broadcast over batch."""
-    x = np.asarray(x, dtype=float)
-    base = 1e-3 if h is None else float(h)
-    return base * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # pointwise algebra
 # ---------------------------------------------------------------------------
@@ -141,11 +134,6 @@ def acs_from_form_pair(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def invariant_part(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     """J-invariant part B^{1,1}(u, v) = (B(u, v) + B(Ju, Jv)) / 2."""
     return 0.5 * (b + np.einsum("...ji,...jk,...kl->...il", j, b, j))
-
-
-def anti_invariant_part(b: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """J-anti-invariant part (B(u, v) - B(Ju, Jv)) / 2."""
-    return 0.5 * (b - np.einsum("...ji,...jk,...kl->...il", j, b, j))
 
 
 def metric_from_form(f: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -203,17 +191,6 @@ def hodge_star_three(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     ginv, vol = _metric_inverse_and_volume(g)
     raised = np.einsum("...ia,...jb,...kc,...abc->...ijk", ginv, ginv, ginv, c)
     return (vol[..., None] / 6.0) * np.einsum("...ijk,ijkl->...l", raised, EPS4)
-
-
-def hodge_star_four(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hodge star of v * (coordinate volume form), a scalar."""
-    _, vol = _metric_inverse_and_volume(g)
-    return np.asarray(v) / vol
-
-
-def selfdual_part(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Projection (B + *B) / 2 onto selfdual 2-forms."""
-    return 0.5 * (b + hodge_star(g, b))
 
 
 def norm_sq_oneform(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -279,76 +256,66 @@ def solve_lee_form(f: np.ndarray, d_comps: np.ndarray) -> np.ndarray:
     return np.linalg.solve(mat, np.asarray(d_comps, dtype=float))
 
 
-def wedge_one_three(a: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """(a ^ C) coefficient on the volume form, C given by triple components."""
-    a = np.asarray(a)
-    comps = np.asarray(comps)
-    # complement triples: dir 0 <-> (1,2,3) = TRIPLES[3], etc.
-    return (
-        a[..., 0] * comps[..., 3]
-        - a[..., 1] * comps[..., 2]
-        + a[..., 2] * comps[..., 1]
-        - a[..., 3] * comps[..., 0]
-    )
-
-
 # ---------------------------------------------------------------------------
 # finite-difference exterior calculus on sampled fields
 # ---------------------------------------------------------------------------
 
-def field_partials(
-    field, x: np.ndarray, h: float | None = None, richardson: bool = True
-) -> np.ndarray:
-    """Central-difference partial derivatives of a sampled field at one point.
+#: Base finite-difference step, scaled per point by ``stencil_step``.
+DEFAULT_FD_STEP = 1e-3
 
-    ``field`` maps a point (4,) to an array; the result has the derivative
-    direction as its first axis.  Richardson extrapolation combines steps h
-    and h/2 for O(h^4) accuracy.
-    """
+
+def stencil_step(x: np.ndarray, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Step fd_step * max(1, |x|) per base point (batch axes of x)."""
     x = np.asarray(x, dtype=float)
-    step = float(default_step(x, h))
-    out = []
-    for d in range(4):
-        e = np.zeros(4)
-        e[d] = step
-        d1 = (np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * step)
-        if richardson:
-            d2 = (np.asarray(field(x + e / 2)) - np.asarray(field(x - e / 2))) / step
-            out.append((4.0 * d2 - d1) / 3.0)
-        else:
-            out.append(d1)
-    return np.stack(out, axis=0)
+    return fd_step * np.maximum(1.0, np.linalg.norm(x, axis=-1))
 
 
-def exterior_derivative_one(field, x, h=None, richardson=True) -> np.ndarray:
-    """d of a 1-form field, returned as a 2-form: (da)_ij = d_i a_j - d_j a_i."""
-    p = field_partials(field, x, h, richardson)  # p[d, j] = d_d a_j
-    return p - p.T
+class StencilCloud:
+    """Richardson stencil (+-h, +-h/2 in each direction) around base points."""
 
+    _OFFSETS = (1.0, -1.0, 0.5, -0.5)
 
-def exterior_derivative_two(field, x, h=None, richardson=True) -> np.ndarray:
-    """d of a 2-form field, returned as sorted-triple components."""
-    p = field_partials(field, x, h, richardson)  # p[d, i, j] = d_d B_ij
-    comps = [
-        p[i, j, k] - p[j, i, k] + p[k, i, j] for (i, j, k) in TRIPLES
-    ]
-    return np.stack(comps, axis=-1)
+    def __init__(self, x: np.ndarray, h: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        h = np.asarray(h, dtype=float)
+        disp = np.zeros((4, 4, 4))
+        for d in range(4):
+            for o, s in enumerate(self._OFFSETS):
+                disp[d, o, d] = s
+        self.base_shape = x.shape[:-1]
+        self.h = h
+        pts = x[..., None, None, :] + h[..., None, None, None] * disp
+        self.points = pts.reshape(-1, 4)
 
+    def partials(self, values: np.ndarray) -> np.ndarray:
+        """values evaluated at self.points -> derivative array with the
+        direction axis inserted after the batch axes (O(h^4))."""
+        rest = values.shape[1:]
+        v = values.reshape(self.base_shape + (4, 4) + rest)
+        axis = len(self.base_shape) + 1  # the offsets axis
+        v0, v1, v2, v3 = (np.take(v, o, axis=axis) for o in range(4))
+        h = self.h.reshape(self.base_shape + (1,) * (1 + len(rest)))
+        d1 = (v0 - v1) / (2.0 * h)
+        d2 = (v2 - v3) / h
+        return (4.0 * d2 - d1) / 3.0
 
-def exterior_derivative(field, x, h=None, richardson=True) -> np.ndarray:
-    """d of a sampled 1- or 2-form field (dispatch on the probe's shape).
+    def d_two_form(self, values: np.ndarray) -> np.ndarray:
+        """Exterior derivative of a 2-form field as sorted-triple comps."""
+        p = self.partials(values)  # (..., d, i, j)
+        comps = [p[..., i, j, k] - p[..., j, i, k] + p[..., k, i, j]
+                 for (i, j, k) in TRIPLES]
+        return np.stack(comps, axis=-1)
 
-    1-form fields yield a 2-form; 2-form fields yield the 4 components of a
-    3-form on the sorted triples.  Accuracy is O(h^2), or O(h^4) with the
-    default Richardson extrapolation.
-    """
-    probe = np.asarray(field(np.asarray(x, dtype=float)))
-    if probe.ndim == 1:
-        p = field_partials(field, x, h, richardson)
-        return p - p.T
-    if probe.ndim == 2:
-        return exterior_derivative_two(field, x, h, richardson)
-    raise ValueError(f"expected a 1- or 2-form field, got shape {probe.shape}")
+    def d_one_form(self, values: np.ndarray) -> np.ndarray:
+        """Exterior derivative of a 1-form field as a 2-form."""
+        p = self.partials(values)  # (..., d, j)
+        return p - np.swapaxes(p, -1, -2)
+
+    def d_three_form(self, comps: np.ndarray) -> np.ndarray:
+        """Exterior derivative of a triple-component 3-form field (a scalar
+        coefficient on the volume form)."""
+        p = self.partials(comps)  # (..., d, triple)
+        return p[..., 0, 3] - p[..., 1, 2] + p[..., 2, 1] - p[..., 3, 0]
 
 
 def nijenhuis_from_partials(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
@@ -363,17 +330,6 @@ def nijenhuis_from_partials(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
     t3 = np.einsum("...kl,...jli->...ijk", j, dj)
     t4 = np.einsum("...kl,...ilj->...ijk", j, dj)
     return t1 - t2 + t3 - t4
-
-
-def nijenhuis(jfield, x, h=None, richardson=True) -> np.ndarray:
-    """Nijenhuis tensor of a sampled almost-complex-structure field at x.
-
-    Vanishing of all components certifies integrability; the finite
-    differences make this accurate to roughly the square root of the
-    field's own noise floor divided by h.
-    """
-    dj = field_partials(jfield, x, h, richardson)
-    return nijenhuis_from_partials(np.asarray(jfield(np.asarray(x, float))), dj)
 
 
 def ddc_from_hessian(hess: np.ndarray) -> np.ndarray:

@@ -323,10 +323,7 @@ class RadialSolver:
         if np.any(bad):
             # warm start failed for some elements; redo those from scratch
             r = np.array(r, copy=True)
-            idx = np.argwhere(bad)
-            subset = np.asarray(x)[bad]
-            r[bad] = self.solve(subset, scan=False)
-            del idx
+            r[bad] = self.solve(np.asarray(x)[bad], scan=False)
         return r
 
     def _newton(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -336,18 +333,9 @@ class RadialSolver:
             r = np.where(slope > 0.0, r - value / safe, r)
         return r
 
-    def jet(self, x: np.ndarray, r: np.ndarray, via_jets: bool = False) -> JetScalar:
-        """2-jet of r(z) via the implicit function theorem on G(r(z), z) = 0.
-
-        ``via_jets`` switches from the closed-form derivatives of G to the
-        JetScalar evaluation of the same expression; the two routes agree to
-        machine precision and the tests keep them pinned together.
-        """
-        if via_jets:
-            g = _g_jet5(self.spec, r, x)
-            grad, hess = g.grad, g.hess
-        else:
-            grad, hess = _g_derivatives(self.spec, r, x)
+    def jet(self, x: np.ndarray, r: np.ndarray) -> JetScalar:
+        """2-jet of r(z) via the implicit function theorem on G(r(z), z) = 0."""
+        grad, hess = _g_derivatives(self.spec, r, x)
         gr = grad[..., 0]
         gi = grad[..., 1:]
         grr = hess[..., 0, 0]

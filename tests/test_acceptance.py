@@ -258,7 +258,8 @@ def test_criterion_7_negative_controls():
     bad_eps = np.diag([1j, -1j])
     inv = float(np.max(verify_h_invariance(spec_c, [bad_eps], samples)))
     field = StructureField(spec_c, 0.25)
-    equi = check_gamma_equivariance(field, samples[:6], [UnitaryElement(bad_eps)])
+    equi = check_gamma_equivariance(field, field.assemble(samples[:6]),
+                                    [UnitaryElement(bad_eps)])
     equi_res = float(np.max(equi["equivariance_metric"]))
     control_1 = inv > 10 * 1e-10 and equi_res > 10 * 1e-7
 

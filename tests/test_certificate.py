@@ -6,12 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import biherm.certificate
 from biherm.certificate import (
     CertificateConfig,
-    StencilCloud,
     StructureField,
     assemble_from_triple,
-    assemble_structure,
     check_differential_identities,
     check_gamma_equivariance,
     check_integrability,
@@ -24,8 +23,9 @@ from biherm.errors import NotPositive
 from biherm.exterior import (
     J_STD,
     KAHLER_STD,
-    exterior_derivative_two,
+    StencilCloud,
     solve_lee_form,
+    stencil_step,
 )
 from biherm.hopf_groups import (
     ContractionParams,
@@ -80,10 +80,11 @@ class TestAssembly:
         x = fundamental_annulus_sample(5, CASE_B, 3)
         state = integrate_flow(spec, 0.2, x)
         triple = quotient_triple(spec, state)
-        sample = assemble_structure(spec, triple, state)
-        assert sample.theta_plus is not None and sample.theta_plus.shape == (3, 4)
+        sample = assemble_from_triple(triple, state)
+        (theta_plus, theta_minus), _, _ = StructureField(spec, 0.2).lee_forms(sample)
+        assert theta_plus.shape == (3, 4)
         # on the quotient construction theta_+ + theta_- = 2 tau
-        total = sample.theta_plus + sample.theta_minus
+        total = theta_plus + theta_minus
         assert np.max(np.abs(total - 2.0 * sample.tau)) < 1e-5
 
 
@@ -175,12 +176,12 @@ class TestLeeForms:
         spec = flow_spec_for(CASE_B)
         field = StructureField(spec, 0.25)
         x = fundamental_annulus_sample(10, CASE_B, 4)
-        (theta_plus, _), center, _, _ = field.lee_forms(x)
+        center = field.assemble(x)
+        (theta_plus, _), _, _ = field.lee_forms(center)
         for i in range(len(x)):
-            def f_plus_field(y, i=i):
-                return field.assemble(y.reshape(1, 4)).f_plus[0]
-
-            d_comps = exterior_derivative_two(f_plus_field, x[i], h=1e-3)
+            y = x[i:i + 1]
+            cloud = StencilCloud(y, stencil_step(y, 1e-3))
+            d_comps = cloud.d_two_form(field.assemble(cloud.points).f_plus)[0]
             tau = solve_lee_form(center.f_plus[i], d_comps)
             assert np.max(np.abs(tau - theta_plus[i])) < 1e-6
 
@@ -205,8 +206,8 @@ class TestLeeForms:
         x = fundamental_annulus_sample(11, CASE_B, 5)
         base = StructureField(spec, 0.25)
         scaled = RescaledField(spec, 0.25)
-        (tp0, tm0), _, _, _ = base.lee_forms(x)
-        (tp1, tm1), _, _, _ = scaled.lee_forms(x)
+        (tp0, tm0), _, _ = base.lee_forms(base.assemble(x))
+        (tp1, tm1), _, _ = scaled.lee_forms(scaled.assemble(x))
         shift = dphi(x)
         assert np.max(np.abs(tp1 - tp0 - shift)) < 1e-6
         assert np.max(np.abs(tm1 - tm0 - shift)) < 1e-6
@@ -218,7 +219,7 @@ class TestDifferentialBattery:
         spec = flow_spec_for(params)
         field = StructureField(spec, t)
         x = fundamental_annulus_sample(12, params, 6)
-        res = check_differential_identities(field, x)
+        res = check_differential_identities(field, field.assemble(x))
         tiers = {
             "quotient_leibniz_phi": 1e-6,
             "quotient_leibniz_psi_plus": 1e-6,
@@ -285,7 +286,7 @@ class TestEquivariance:
         x = fundamental_annulus_sample(15, params, 8)
         elements = [ContractionPower(params, 1)]
         elements += [UnitaryElement(g) for g in gens]
-        res = check_gamma_equivariance(field, x, elements)
+        res = check_gamma_equivariance(field, field.assemble(x), elements)
         assert np.max(res["equivariance_metric"]) < 1e-7
         assert np.max(res["equivariance_j_minus"]) < 1e-7
 
@@ -294,7 +295,7 @@ class TestEquivariance:
         spec = flow_spec_for(CASE_C)
         field = StructureField(spec, 0.25)
         x = fundamental_annulus_sample(16, CASE_C, 8)
-        res = check_gamma_equivariance(field, x,
+        res = check_gamma_equivariance(field, field.assemble(x),
                                        [UnitaryElement(np.diag([1j, -1j]))])
         assert np.max(res["equivariance_metric"]) > 1e-3
 
@@ -325,3 +326,37 @@ class TestRunCertificate:
         assert report.t == 0.2
         assert report.sweep is None
         assert report.passed
+
+    def test_each_base_point_is_integrated_once(self, monkeypatch):
+        # base assembly integrates the n samples once; with a fixed t and no
+        # differential families the only other flow is equivariance, one
+        # integration of the n images per deck element
+        gens = (np.diag([EPS3, 1 / EPS3]),)
+        data = HopfGroupData(CASE_B, gens)
+        points = []
+
+        def counting(spec, t, x, *args, **kwargs):
+            points.append(np.atleast_2d(x).shape[0])
+            return integrate_flow(spec, t, x, *args, **kwargs)
+
+        monkeypatch.setattr(biherm.certificate, "integrate_flow", counting)
+        n = 4
+        report = run_certificate(CertificateConfig(
+            data=data, t=0.2, n=n, with_differential=False))
+        assert report.excluded_samples == 0
+        assert sum(points) == n * (1 + 1 + len(gens))
+
+    def test_family_on_no_sample_fails_the_pass(self, monkeypatch):
+        # a family evaluated on no sample sits at tier vacuously (max 0) and
+        # must still fail the certificate
+        def unevaluated(field, s0, elements):
+            return {"equivariance_metric": np.zeros(0),
+                    "equivariance_j_minus": np.zeros(0)}
+
+        monkeypatch.setattr(biherm.certificate, "check_gamma_equivariance",
+                            unevaluated)
+        report = run_certificate(CertificateConfig(
+            data=HopfGroupData(CASE_B), t=0.2, n=5, with_differential=False))
+        assert report.identities["equivariance_metric"].count == 0
+        assert report.identities["anticommutator"].count == 5
+        assert not report.passed

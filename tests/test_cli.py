@@ -99,6 +99,33 @@ class TestCertifyCommand:
                      "--samples", "6", "--tol-tier", "j_minus_square=1e-18"])
         assert code == 5
 
+    def test_every_sample_excluded_is_analytic_refusal(self, tmp_path, capsys):
+        code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
+                     "--samples", "4", "--t=-0.02"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("analytic refusal:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--threads", "0"],
+        ["--fd-step", "0"],
+        ["--fd-step", "nan"],
+        ["--ode-tol", "0"],
+        ["--ode-tol=-1e-10"],
+        ["--tol-tier", "anticommutator=abc"],
+        ["--tol-tier", "anticommutator=0"],
+        ["--tol-tier", "anticommutator=inf"],
+        ["--tol-tier", "nonsense=1"],
+    ])
+    def test_bad_numbers_are_parse_errors(self, tmp_path, capsys, argv):
+        code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
+                     *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_csv_shape_and_order(self, tmp_path, capsys):

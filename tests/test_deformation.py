@@ -146,17 +146,14 @@ class TestQuotientTriple:
     def test_leibniz_rule_analytic(self):
         # d(psi_plus/f) = tau ^ (psi_plus/f) holds exactly by the product
         # rule; check via the finite-difference exterior derivative
-        from biherm.exterior import exterior_derivative, wedge_one_two
+        from biherm.exterior import StencilCloud, stencil_step, wedge_one_two
 
         spec = flow_spec_for(CASE_A)
         pf = PotentialField(spec)
-
-        def field(y):
-            pot = pf.potential(y.reshape(1, 4), check_positive=False)
-            return HOLO_IM / pot.f.value[0]
-
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        d = exterior_derivative(field, x, h=1e-3)
+        cloud = StencilCloud(x.reshape(1, 4), stencil_step(x.reshape(1, 4), 1e-3))
+        f_cloud = pf.potential(cloud.points, check_positive=False).f.value
+        d = cloud.d_two_form(HOLO_IM / f_cloud[:, None, None])[0]
         pot = pf.potential(x.reshape(1, 4))
         tau = -pot.f.grad[0] / pot.f.value[0]
         target = wedge_one_two(tau, HOLO_IM / pot.f.value[0])

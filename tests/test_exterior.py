@@ -1,5 +1,5 @@
 """Exterior algebra kernel: wedge, structures from form pairs, Hodge star,
-finite-difference exterior derivative, Nijenhuis tensor."""
+finite-difference exterior derivative (StencilCloud), Nijenhuis tensor."""
 
 import itertools
 
@@ -13,17 +13,18 @@ from biherm.exterior import (
     J_STD,
     KAHLER_STD,
     TRIPLES,
+    StencilCloud,
     acs_from_form_pair,
     dense_from_three,
-    exterior_derivative,
     hodge_star,
     hodge_star_one,
     hodge_star_three,
     invariant_part,
     metric_from_form,
     min_metric_eigenvalue,
-    nijenhuis,
+    nijenhuis_from_partials,
     solve_lee_form,
+    stencil_step,
     three_from_dense,
     to_complex,
     from_complex,
@@ -206,6 +207,30 @@ class TestThreeFormStorage:
         assert dense[1, 0, 2] == -1.0
         assert dense[2, 0, 1] == 1.0
         assert dense[1, 2, 3] == 4.0
+
+
+def _cloud_values(field, x, h):
+    """StencilCloud around the single point x, and the per-point field
+    evaluated at its points."""
+    x = np.asarray(x, dtype=float)[None]
+    cloud = StencilCloud(x, stencil_step(x, h))
+    return cloud, np.stack([np.asarray(field(p), dtype=float)
+                            for p in cloud.points])
+
+
+def exterior_derivative(field, x, h=1e-3):
+    """d of a per-point 1- or 2-form field at x: a 2-form, or the sorted-
+    triple components of a 3-form."""
+    cloud, values = _cloud_values(field, x, h)
+    d = cloud.d_one_form if values.ndim == 2 else cloud.d_two_form
+    return d(values)[0]
+
+
+def nijenhuis(jfield, x, h=1e-3):
+    """Nijenhuis tensor of a per-point J-field at x, axes (i, j, k)."""
+    cloud, values = _cloud_values(jfield, x, h)
+    j = np.asarray(jfield(np.asarray(x, dtype=float)))[None]
+    return nijenhuis_from_partials(j, cloud.partials(values))[0]
 
 
 class TestExteriorDerivative:

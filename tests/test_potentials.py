@@ -104,16 +104,6 @@ class TestRadialTime:
             assert np.max(np.abs(jet.grad - grad)) < 1e-11
             assert np.max(np.abs(jet.hess - hess)) < 1e-11
 
-    def test_jet_route_flag(self):
-        spec = flow_spec_for(CASE_C)
-        pf = PotentialField(spec)
-        x = np.array([[0.4, 0.2, 0.7, -0.3]])
-        r = pf.solver.solve(x)
-        a = pf.solver.jet(x, r, via_jets=False)
-        b = pf.solver.jet(x, r, via_jets=True)
-        assert np.allclose(a.grad, b.grad, atol=1e-12)
-        assert np.allclose(a.hess, b.hess, atol=1e-12)
-
     def test_shear_multiple_roots_rejected(self):
         # a huge shear coefficient makes |z1 - r lhat z2|^2 dip through the
         # sphere again after the first crossing: three sign changes on the
