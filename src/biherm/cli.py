@@ -26,6 +26,7 @@ from .deformation import (
 )
 from .errors import (
     AmbiguousRadialTime,
+    ConstraintViolation,
     GroupDataError,
     NotFinite,
     NotPlurisubharmonic,
@@ -69,8 +70,9 @@ def _parse_t_grid(spec: str) -> tuple:
         a, b, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise GroupDataError(f"--t-grid expects a:b:step, got {spec!r}") from exc
-    if step <= 0:
-        raise GroupDataError(f"--t-grid step must be positive: {spec!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < step < math.inf):
+        raise GroupDataError(f"--t-grid needs finite bounds and a finite "
+                             f"positive step, got {spec!r}")
     a, b = min(a, b), max(a, b)  # reversed bounds canonicalise
     count = int(round((b - a) / step))
     return tuple(sorted({round(a + i * step, 12) for i in range(count + 1)}))
@@ -117,6 +119,8 @@ def _certificate_config(args) -> CertificateConfig:
     data = group_data_from_json(_load_config(args.config))
     if args.threads is not None:
         _at_least_one("--threads", args.threads)
+    if args.t is not None and not math.isfinite(args.t):
+        raise GroupDataError(f"--t must be finite, got {args.t!r}")
     cfg = CertificateConfig(
         data=data,
         t=args.t,
@@ -203,7 +207,8 @@ def cmd_construct(args) -> int:
 
 def cmd_inoue(args) -> int:
     data = inoue_data_from_json(_load_config(args.config))
-    report = degree_sign_report(data, seed=args.seed, n=args.samples)
+    report = degree_sign_report(data, seed=args.seed,
+                                n=_at_least_one("--samples", args.samples))
     _emit(report, args.out)
     return EXIT_PASS if report["excluded"] else EXIT_TIERS
 
@@ -214,8 +219,15 @@ def cmd_oracle(args) -> int:
     return EXIT_PASS if report["pass"] else EXIT_TIERS
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed argument is a parse failure (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise GroupDataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="biherm",
         description="Bihermitian structures on Hopf surfaces: construction "
         "and numerical certification",
@@ -248,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except GroupDataError as exc:
+    except (GroupDataError, ConstraintViolation) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotFinite as exc:

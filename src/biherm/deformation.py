@@ -11,8 +11,10 @@ form is the pullback
 and dividing the triple (Phi, Im Omega, psi_minus) by f produces deck-group
 invariant forms whose invariant part becomes positive for small t > 0.
 
-Since i_X Phi is exact, the flow preserves Phi, preserves f, and has
-det D > 0; the integrator only monitors these facts, it never enforces them.
+Since i_X Phi is exact, the flow preserves Phi, preserves f = a^r (hence the
+radial time r), and has det D > 0.  The integrator solves r once, at the
+starting points, and evaluates the field at that r; the certificate checks,
+never enforces, that f is preserved, by a cold solve of r at the images.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .potentials import FlowSpec, PotentialField
 
 DEFAULT_ODE_TOL = 1e-10
 DEFAULT_T_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
+_MAX_STEPS = 100_000
 
 # Dormand-Prince 5(4) pair; row 7 equals the 5th-order weights (FSAL).
 _DP_A = (
@@ -80,6 +83,12 @@ class QuotientTriple:
     f: np.ndarray
 
 
+def _field_and_derivative(pf: PotentialField, r: np.ndarray, x: np.ndarray):
+    """(Phi grad f, Phi Hess f) at points x of radial time r."""
+    _, grad, hess = pf.value_grad_hess(x, r)
+    return grad @ HOLO_RE.T, HOLO_RE @ hess
+
+
 def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
     """Hamiltonian vector field X with i_X Phi = df, and its derivative.
 
@@ -88,58 +97,43 @@ def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
     reproduced exactly (to solver precision in f).
     """
     pf = PotentialField(spec)
-    _, grad, hess, _ = pf.value_grad_hess(np.asarray(z, dtype=float))
-    x_vec = np.einsum("ij,...j->...i", HOLO_RE, grad)
-    deriv = np.einsum("ij,...jk->...ik", HOLO_RE, hess)
-    return x_vec, deriv
+    z = np.asarray(z, dtype=float)
+    return _field_and_derivative(pf, pf.solver.solve(z), z)
 
 
-class _FlowRHS:
-    """Right-hand side of the coupled trajectory/variational system with a
-    warm-started radial root between calls."""
-
-    def __init__(self, pf: PotentialField):
-        self.pf = pf
-        self.warm: np.ndarray | None = None
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        x = y[..., :4]
-        d = y[..., 4:].reshape(y.shape[:-1] + (4, 4))
-        _, grad, hess, r = self.pf.value_grad_hess(x, warm=self.warm)
-        self.warm = r
-        dx = np.einsum("ij,...j->...i", HOLO_RE, grad)
-        a = np.einsum("ij,...jk->...ik", HOLO_RE, hess)
-        dd = np.einsum("...ij,...jk->...ik", a, d)
-        return np.concatenate([dx, dd.reshape(y.shape[:-1] + (16,))], axis=-1)
+def _flow_rhs(pf: PotentialField, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the coupled trajectory/variational system at the
+    starting radial time r0.  The field is a multiple of Phi grad_x G(r0, x),
+    so the zero set of G(r0, .) is invariant and on it the field is the true
+    one; the variational part uses the true Hess f (with dr/dx), not the
+    derivative of the frozen-r field."""
+    x = y[..., :4]
+    d = y[..., 4:].reshape(y.shape[:-1] + (4, 4))
+    dx, a = _field_and_derivative(pf, r0, x)
+    dd = a @ d
+    return np.concatenate([dx, dd.reshape(y.shape[:-1] + (16,))], axis=-1)
 
 
-def _pack(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    eye = np.broadcast_to(np.eye(4).reshape(16), x.shape[:-1] + (16,))
-    return np.concatenate([x, eye], axis=-1)
-
-
-def _integrate(pf: PotentialField, y0: np.ndarray, t0: float, t1: float,
-               ode_tol: float, max_steps: int = 100_000) -> np.ndarray:
+def _integrate(pf: PotentialField, r0: np.ndarray, y0: np.ndarray, t0: float,
+               t1: float, ode_tol: float) -> np.ndarray:
     """Adaptive Dormand-Prince 5(4) over the whole batch; the step is
     controlled by the worst scaled local error across all components."""
     if t1 == t0:
         return y0
-    rhs = _FlowRHS(pf)
     direction = 1.0 if t1 > t0 else -1.0
     t = t0
     y = y0
-    k1 = rhs(y)
+    k1 = _flow_rhs(pf, r0, y)
     h = direction * min(0.05, abs(t1 - t0))
     h_floor = 1e-14 * max(1.0, abs(t1 - t0))
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if (t1 - t) * direction <= 0.0:
             return y
         h = direction * min(abs(h), abs(t1 - t))
         ks = [k1]
         for stage in range(1, 7):
             incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
-            ks.append(rhs(y + h * incr))
+            ks.append(_flow_rhs(pf, r0, y + h * incr))
         y_new = y + h * sum(a * k for a, k in zip(_DP_A[6], ks))
         err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
         scale = ode_tol + ode_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -154,7 +148,29 @@ def _integrate(pf: PotentialField, y0: np.ndarray, t0: float, t1: float,
             raise StepSizeUnderflow(
                 f"step size underflow at t = {t:.6g} (tol {ode_tol:g})"
             )
-    raise StepSizeUnderflow(f"exceeded {max_steps} steps integrating to t = {t1}")
+    raise StepSizeUnderflow(f"exceeded {_MAX_STEPS} steps integrating to t = {t1}")
+
+
+def _flow_states(spec: FlowSpec, t_values, x: np.ndarray,
+                 ode_tol: float) -> list[DeformationState]:
+    """States at a nondecreasing sequence of times along one trajectory; the
+    radial time is solved once, at the starting points."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ts = [float(t) for t in t_values]
+    if any(a > b for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_values must be nondecreasing")
+    pf = PotentialField(spec)
+    r0 = pf.solver.solve(x) if any(ts) else None
+    eye = np.broadcast_to(np.eye(4).reshape(16), x.shape[:-1] + (16,))
+    y = np.concatenate([x, eye], axis=-1)
+    states = []
+    prev = 0.0
+    for t in ts:
+        y = _integrate(pf, r0, y, prev, t, ode_tol)
+        prev = t
+        states.append(DeformationState(
+            t, x, y[..., :4], y[..., 4:].reshape(x.shape[:-1] + (4, 4))))
+    return states
 
 
 def integrate_flow(spec: FlowSpec, t: float, x: np.ndarray,
@@ -164,35 +180,13 @@ def integrate_flow(spec: FlowSpec, t: float, x: np.ndarray,
     Local error per step is kept at or below ode_tol (absolute and relative);
     t = 0 returns the identity state.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = _integrate(PotentialField(spec), _pack(x), 0.0, float(t), ode_tol)
-    return DeformationState(
-        t=float(t),
-        x=x,
-        x_t=y[..., :4],
-        jac=y[..., 4:].reshape(x.shape[:-1] + (4, 4)),
-    )
+    return _flow_states(spec, (t,), x, ode_tol)[0]
 
 
 def integrate_flow_chain(spec: FlowSpec, t_values, x: np.ndarray,
                          ode_tol: float = DEFAULT_ODE_TOL) -> list[DeformationState]:
     """States at an increasing sequence of times, continuing one trajectory."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pf = PotentialField(spec)
-    ts = [float(t) for t in t_values]
-    if any(a > b for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_values must be nondecreasing")
-    states = []
-    y = _pack(x)
-    prev = 0.0
-    for t in ts:
-        y = _integrate(pf, y, prev, t, ode_tol)
-        prev = t
-        states.append(
-            DeformationState(t, x, y[..., :4].copy(),
-                             y[..., 4:].reshape(x.shape[:-1] + (4, 4)).copy())
-        )
-    return states
+    return _flow_states(spec, t_values, x, ode_tol)
 
 
 def pullback_psi(state: DeformationState) -> np.ndarray:

@@ -203,6 +203,7 @@ def _g_derivatives(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
     s_x = m * spec.lam_hat * z2_pow
     s_xx = (m * (m - 1) * spec.lam_hat * z[..., 1] ** (m - 2)) if m >= 2 else 0.0
     w = z[..., 0] - r * s
+    wbar = np.conj(w)
     p_val = np.abs(w) ** 2
     q_val = np.abs(z[..., 1]) ** 2
     em = np.exp(-2.0 * m * r * lb)
@@ -211,27 +212,29 @@ def _g_derivatives(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
     # first derivatives of w in (r, x1, y1, x2, y2): (-s, 1, i, -r s_x, -i r s_x)
     dw = np.stack([-s, np.ones_like(s), 1j * np.ones_like(s),
                    -r * s_x, -1j * r * s_x], axis=-1)
-    wbar = np.conj(w)[..., None]
-    p_grad = 2.0 * (wbar * dw).real
-    # second derivatives: 2 Re(conj(dw_a) dw_b) + 2 Re(wbar * ddw_ab)
-    p_hess = 2.0 * np.einsum("...a,...b->...ab", np.conj(dw), dw).real
-    ddw = np.zeros(batch + (5, 5), dtype=complex)
-    ddw[..., 0, 3] = ddw[..., 3, 0] = -s_x
-    ddw[..., 0, 4] = ddw[..., 4, 0] = -1j * s_x
-    ddw[..., 3, 3] = -r * s_xx
-    ddw[..., 3, 4] = ddw[..., 4, 3] = -1j * r * s_xx
-    ddw[..., 4, 4] = r * s_xx
-    p_hess += 2.0 * (np.conj(w)[..., None, None] * ddw).real
+    # P_ab = 2 Re(conj(dw_a) dw_b) + 2 Re(wbar ddw_ab); the first term from
+    # real and imaginary parts, so that no complex (5, 5) batch exists
+    np.multiply(dw.real[..., :, None], dw.real[..., None, :], out=hess)
+    hess += dw.imag[..., :, None] * dw.imag[..., None, :]
+    ws, wss = wbar * s_x, r * wbar * s_xx
+    hess[..., 0, 3] -= ws.real  # ddw_{r x2} = -s_x
+    hess[..., 0, 4] += ws.imag  # ddw_{r y2} = -i s_x
+    hess[..., 3, 3] -= wss.real  # ddw_{x2 x2} = -r s_xx
+    hess[..., 3, 4] += wss.imag  # ddw_{x2 y2} = -i r s_xx
+    hess[..., 4, 4] += wss.real  # ddw_{y2 y2} = r s_xx
+    hess[..., 3, 0], hess[..., 4, 0], hess[..., 4, 3] = (
+        hess[..., 0, 3], hess[..., 0, 4], hess[..., 3, 4])
+    hess *= 2.0 * em[..., None, None]
+    grad[...] = 2.0 * (wbar[..., None] * dw).real * em[..., None]
 
+    # grad and hess hold the derivatives of P em so far
     cm, c1 = -2.0 * m * lb, -2.0 * lb
-    grad[...] = p_grad * em[..., None]
+    hess[..., 0, :] += cm * grad
+    hess[..., :, 0] += cm * grad
     grad[..., 0] += cm * p_val * em + c1 * q_val * e1
     grad[..., 3] += 2.0 * x[..., 2] * e1
     grad[..., 4] += 2.0 * x[..., 3] * e1
 
-    hess[...] = p_hess * em[..., None, None]
-    hess[..., 0, :] += cm * p_grad * em[..., None]
-    hess[..., :, 0] += cm * p_grad * em[..., None]
     hess[..., 0, 0] += cm**2 * p_val * em + c1**2 * q_val * e1
     hess[..., 0, 3] += c1 * 2.0 * x[..., 2] * e1
     hess[..., 3, 0] += c1 * 2.0 * x[..., 2] * e1
@@ -287,18 +290,17 @@ def _scan_for_multiple_roots(spec: FlowSpec, lo, hi, x) -> None:
 class RadialSolver:
     """Root finder for the radial time with jet-grade derivatives.
 
-    ``solve`` performs the guarded cold start; ``polish`` runs warm Newton
-    iterations from a previous value (used inside flow integration, where
-    query points move continuously).
+    ``solve`` performs the guarded cold start (bracket, multiple-root scan,
+    bisection, Newton polish); ``jet`` evaluates the implicit-function
+    derivatives at a given (x, r).
     """
 
     def __init__(self, spec: FlowSpec):
         self.spec = spec
 
-    def solve(self, x: np.ndarray, scan: bool = True) -> np.ndarray:
+    def solve(self, x: np.ndarray) -> np.ndarray:
         lo, hi = _bracket(self.spec, x)
-        if scan:
-            _scan_for_multiple_roots(self.spec, lo, hi, x)
+        _scan_for_multiple_roots(self.spec, lo, hi, x)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             gmid, _ = _g_value_slope(self.spec, mid, x)
@@ -314,16 +316,6 @@ class RadialSolver:
             raise AmbiguousRadialTime(
                 "dG/dr <= 0 at the root; monotonicity certificate failed"
             )
-        return r
-
-    def polish(self, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        r = self._newton(np.asarray(r0, dtype=float), x)
-        value, slope = _g_value_slope(self.spec, r, x)
-        bad = (np.abs(value) > ROOT_TOL) | (slope <= 0.0)
-        if np.any(bad):
-            # warm start failed for some elements; redo those from scratch
-            r = np.array(r, copy=True)
-            r[bad] = self.solve(np.asarray(x)[bad], scan=False)
         return r
 
     def _newton(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -374,21 +366,21 @@ class PotentialField:
         self.spec = spec
         self.solver = RadialSolver(spec)
 
-    def radial_time(self, x: np.ndarray, warm: np.ndarray | None = None) -> JetScalar:
+    def radial_time(self, x: np.ndarray) -> JetScalar:
         x = np.asarray(x, dtype=float)
-        r = self.solver.solve(x) if warm is None else self.solver.polish(x, warm)
-        return self.solver.jet(x, r)
+        return self.solver.jet(x, self.solver.solve(x))
 
-    def value_grad_hess(self, x: np.ndarray, warm: np.ndarray | None = None):
-        """(f, grad f, hess f, r) without positivity checks; flow-RHS fast path."""
-        rj = self.radial_time(x, warm)
+    def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
+        """(f, grad f, hess f) at points x of radial time r, without
+        positivity checks; the flow-RHS fast path (no root solve)."""
+        rj = self.solver.jet(x, r)
         ln_a = self.spec.log_multiplier
         f = np.exp(ln_a * rj.value)
         grad = ln_a * f[..., None] * rj.grad
         hess = ln_a * f[..., None, None] * (
             rj.hess + ln_a * np.einsum("...i,...j->...ij", rj.grad, rj.grad)
         )
-        return f, grad, hess, rj.value
+        return f, grad, hess
 
     def potential(self, x: np.ndarray, check_positive: bool = True) -> PotentialEval:
         rj = self.radial_time(x)

@@ -118,6 +118,12 @@ class TestCertifyCommand:
         ["--tol-tier", "anticommutator=0"],
         ["--tol-tier", "anticommutator=inf"],
         ["--tol-tier", "nonsense=1"],
+        ["--samples", "abc"],
+        ["--seed", "x"],
+        ["--t", "nan"],
+        ["--t", "inf"],
+        ["--t-grid", "0:nan:0.1"],
+        ["--t-grid", "0:inf:0.1"],
     ])
     def test_bad_numbers_are_parse_errors(self, tmp_path, capsys, argv):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -163,6 +169,27 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["excluded"] is True
+
+    @pytest.mark.parametrize("doc, argv", [
+        (INOUE_SM_DOC, ["--samples", "0"]),
+        (INOUE_SM_DOC, ["--samples", "-2"]),
+        # alpha |beta|^2 = 4 * 0.81 breaks the S_M constraint
+        ({"family": "SM", "generators": [
+            {"p": 4.0, "r": {"re": 0.0, "im": 0.9}},
+            INOUE_SM_DOC["generators"][1]]}, []),
+    ])
+    def test_inoue_bad_input_is_parse_error(self, tmp_path, capsys, doc, argv):
+        code = main(["inoue", "--config", write(tmp_path, "sm.json", doc),
+                     *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
 
     def test_construct(self, tmp_path, capsys):
         code = main(["construct", "--config",

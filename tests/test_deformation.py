@@ -21,6 +21,7 @@ from biherm.potentials import PotentialField, flow_spec_for, fundamental_annulus
 CASE_A = ContractionParams(0.5, 0.5)
 CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
+SHEAR_M2 = ContractionParams(0.36, 0.6, lam=0.05, m=2)
 
 
 class TestHamiltonianField:
@@ -105,6 +106,42 @@ class TestIntegrateFlow:
         direct = integrate_flow(spec, 0.25, x)
         assert np.max(np.abs(states[-1].x_t - direct.x_t)) < 1e-9
         assert np.max(np.abs(states[-1].jac - direct.jac)) < 1e-8
+
+    @pytest.mark.parametrize("params", (CASE_C, SHEAR_M2))
+    def test_jacobian_is_derivative_of_flow_map(self, params):
+        # D must differentiate the true flow map, whose radial time moves
+        # with the starting point; central differences of x_t over points
+        # integrated in one batch (one step sequence) measure that
+        spec = flow_spec_for(params)
+        x = fundamental_annulus_sample(20, params, 20)
+        h = 1e-5
+        shifts = h * np.eye(4)[:, None, :]
+        points = np.concatenate([x[None], x + shifts, x - shifts])
+        state = integrate_flow(spec, 0.3, points)
+        fd = (state.x_t[1:5] - state.x_t[5:]) / (2 * h)  # (column, sample, row)
+        assert np.max(np.abs(state.jac[0] - np.moveaxis(fd, 0, -1))) < 1e-8
+
+    def test_root_solves_do_not_grow_with_time(self, monkeypatch):
+        # the radial time is solved once, at the starting points, so the
+        # root-solver work is the same for a short and a long integration
+        import biherm.potentials as potentials
+
+        calls = []
+        value_slope = potentials._g_value_slope
+
+        def counting(*args):
+            calls.append(None)
+            return value_slope(*args)
+
+        monkeypatch.setattr(potentials, "_g_value_slope", counting)
+        spec = flow_spec_for(CASE_C)
+        x = fundamental_annulus_sample(21, CASE_C, 8)
+        counts = []
+        for t in (0.1, 0.5):
+            calls.clear()
+            integrate_flow(spec, t, x)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_negative_time(self):
         spec = flow_spec_for(CASE_B)
