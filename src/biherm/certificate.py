@@ -20,7 +20,7 @@ theta = J(delta F) with delta = -*d* throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .deformation import (
     integrate_flow,
     quotient_triple,
     select_deformation_time,
+    structure_from_triple,
 )
 from .errors import NotPositive
 from .exterior import (
@@ -40,7 +41,6 @@ from .exterior import (
     HOLO_RE,
     J_STD,
     StencilCloud,
-    acs_from_form_pair,
     dense_from_three,
     hodge_star,
     hodge_star_one,
@@ -174,18 +174,12 @@ def assemble_from_triple(triple: QuotientTriple, state: DeformationState,
                          check_positivity: bool = True) -> BihermitianSample:
     """Pointwise assembly (no Lee forms; those need a field, see
     ``StructureField.lee_forms``)."""
-    phi = triple.phi
-    psi_minus = triple.psi_minus
-    j_minus = acs_from_form_pair(phi, psi_minus)
-    f_inv_part = invariant_part(psi_minus, J_STD)
-    g = metric_from_form(f_inv_part, J_STD)
-    margin = min_metric_eigenvalue(g)
+    j_minus, g, margin, p = structure_from_triple(triple)
     if check_positivity and np.any(margin <= 0.0):
         raise NotPositive(
             "invariant part of the deformed form is not positive at "
             f"{int(np.sum(margin <= 0.0))} point(s); reduce t"
         )
-    p = -0.25 * np.einsum("ik,...ki->...", J_STD, j_minus)
     comm = (np.einsum("ij,...jk->...ik", J_STD, j_minus)
             - np.einsum("...ij,jk->...ik", j_minus, J_STD))
     phi_g = 0.5 * np.einsum("...ji,...jk->...ik", comm, g)
@@ -193,15 +187,14 @@ def assemble_from_triple(triple: QuotientTriple, state: DeformationState,
     psi_minus_g = -np.einsum("...ji,...jl->...il", j_minus, phi_g)
     f_plus = np.einsum("ji,...jl->...il", J_STD, g)
     f_minus = np.einsum("...ji,...jl->...il", j_minus, g)
-    batch = psi_minus.shape[:-2]
     return BihermitianSample(
         x=state.x, t=state.t, f=triple.f, g=g,
-        j_plus=np.broadcast_to(J_STD, batch + (4, 4)),
+        j_plus=np.broadcast_to(J_STD, j_minus.shape),
         j_minus=j_minus, p=p,
         f_plus=f_plus, f_minus=f_minus,
         phi_g=phi_g, psi_plus_g=psi_plus_g, psi_minus_g=psi_minus_g,
-        phi_check=phi, psi_plus_check=triple.psi_plus,
-        psi_minus_check=psi_minus, tau=triple.tau, margin=margin,
+        phi_check=triple.phi, psi_plus_check=triple.psi_plus,
+        psi_minus_check=triple.psi_minus, tau=triple.tau, margin=margin,
     )
 
 
@@ -541,6 +534,16 @@ class CertificateReport:
         return canonical_json(self.to_json_dict())
 
 
+def deform_samples(spec: FlowSpec, samples: np.ndarray,
+                   cfg: CertificateConfig):
+    """(state, rows, slope_floor): the samples flowed, once, to cfg.t or to
+    the time the positivity sweep selects (rows and slope are None when
+    cfg.t is given)."""
+    if cfg.t is None:
+        return select_deformation_time(spec, samples, cfg.t_grid, cfg.ode_tol)
+    return integrate_flow(spec, float(cfg.t), samples, cfg.ode_tol), None, None
+
+
 def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     """End-to-end certificate over seeded fundamental-annulus samples.
 
@@ -580,20 +583,9 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     every["potential_h_invariance"] = verify_h_invariance(
         spec, closure, samples)
 
-    sweep_rows = None
-    if cfg.t is None:
-        t_star, rows, _ = select_deformation_time(spec, samples, cfg.t_grid,
-                                                  cfg.ode_tol)
-        sweep_rows = [
-            {"t": r.t, "min_margin": r.min_margin,
-             "argmin_sample_index": r.argmin_sample_index,
-             "p_min": r.p_min, "p_max": r.p_max} for r in rows
-        ]
-    else:
-        t_star = float(cfg.t)
-
-    field_ = StructureField(spec, t_star, cfg.ode_tol, cfg.fd_step, cfg.threads)
-    state = integrate_flow(spec, t_star, samples, cfg.ode_tol)
+    state, rows, _ = deform_samples(spec, samples, cfg)
+    sweep_rows = None if rows is None else [asdict(r) for r in rows]
+    field_ = StructureField(spec, state.t, cfg.ode_tol, cfg.fd_step, cfg.threads)
     triple = quotient_triple(spec, state)
     sample = assemble_from_triple(triple, state, check_positivity=False)
 
@@ -602,7 +594,7 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     if idx.size == 0:
         raise NotPositive(
             "invariant part of the deformed form is not positive at any of "
-            f"the {cfg.n} samples at t = {t_star!r}; let the positivity sweep "
+            f"the {cfg.n} samples at t = {state.t!r}; let the positivity sweep "
             "choose t"
         )
     kept = sample.subset(idx)
@@ -627,7 +619,7 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     passed = all(stats.max < tolerances[name] and stats.count == idx.size
                  for name, stats in identities.items())
     return CertificateReport(
-        params=cfg.echo(), case=label.to_json(), t=t_star, n=cfg.n,
+        params=cfg.echo(), case=label.to_json(), t=state.t, n=cfg.n,
         seed=cfg.seed, tolerances=tolerances, identities=identities,
         excluded_samples=excluded, passed=passed, sweep=sweep_rows,
         potential_margin=potential_margin,

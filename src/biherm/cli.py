@@ -17,13 +17,11 @@ import numpy as np
 from .certificate import (
     DEFAULT_TOLERANCES,
     CertificateConfig,
-    StructureField,
+    assemble_from_triple,
+    deform_samples,
     run_certificate,
 )
-from .deformation import (
-    positivity_sweep,
-    select_deformation_time,
-)
+from .deformation import positivity_sweep, quotient_triple
 from .errors import (
     AmbiguousRadialTime,
     ConstraintViolation,
@@ -36,7 +34,7 @@ from .errors import (
 from .hopf_groups import classify, group_data_from_json
 from .inoue import degree_sign_report, inoue_data_from_json
 from .oracles import run_oracles
-from .potentials import flow_spec_for, fundamental_annulus_sample
+from .potentials import PotentialField, flow_spec_for, fundamental_annulus_sample
 from .reporting import canonical_json, env_threads, write_text
 
 EXIT_PASS = 0
@@ -45,6 +43,9 @@ EXIT_CLASSIFY = 2
 EXIT_ANALYTIC = 3
 EXIT_NUMERIC = 4
 EXIT_TIERS = 5
+
+#: Most points a --t-grid may have (each is one sweep row).
+MAX_T_GRID_POINTS = 10_000
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -74,8 +75,11 @@ def _parse_t_grid(spec: str) -> tuple:
         raise GroupDataError(f"--t-grid needs finite bounds and a finite "
                              f"positive step, got {spec!r}")
     a, b = min(a, b), max(a, b)  # reversed bounds canonicalise
-    count = int(round((b - a) / step))
-    return tuple(sorted({round(a + i * step, 12) for i in range(count + 1)}))
+    count = (b - a) / step  # inf when b - a overflows or step underflows
+    if not count < MAX_T_GRID_POINTS:
+        raise GroupDataError(f"--t-grid {spec!r} has more than "
+                             f"{MAX_T_GRID_POINTS} points")
+    return tuple(sorted({round(a + i * step, 12) for i in range(round(count) + 1)}))
 
 
 def _finite_positive(flag: str, value) -> float:
@@ -154,6 +158,8 @@ def cmd_sweep(args) -> int:
     spec = flow_spec_for(cfg.data.contraction)
     samples = fundamental_annulus_sample(cfg.seed, spec, cfg.n)
     grid = cfg.t_grid if args.t_grid else (0.0,) + cfg.t_grid
+    # an inadmissible shear is an analytic refusal, as in certify
+    PotentialField(spec).potential(samples)
     rows = positivity_sweep(spec, grid, samples, cfg.ode_tol)
     lines = ["t,min_margin,argmin_sample_index,p_min,p_max"]
     lines += [
@@ -176,16 +182,12 @@ def cmd_construct(args) -> int:
         return EXIT_CLASSIFY
     spec = flow_spec_for(cfg.data.contraction)
     samples = fundamental_annulus_sample(cfg.seed, spec, cfg.n)
-    if cfg.t is None:
-        t_star, rows, slope = select_deformation_time(spec, samples,
-                                                      cfg.t_grid, cfg.ode_tol)
-    else:
-        t_star, rows, slope = float(cfg.t), None, None
-    field = StructureField(spec, t_star, cfg.ode_tol, cfg.fd_step, cfg.threads)
-    sample = field.assemble(samples)
+    state, _, slope = deform_samples(spec, samples, cfg)
+    sample = assemble_from_triple(quotient_triple(spec, state), state,
+                                  check_positivity=False)
     payload = {
         "case": label.to_json(),
-        "t": t_star,
+        "t": state.t,
         "n": cfg.n,
         "seed": cfg.seed,
         "margin_min": float(np.min(sample.margin)),

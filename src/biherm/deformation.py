@@ -13,8 +13,9 @@ invariant forms whose invariant part becomes positive for small t > 0.
 
 Since i_X Phi is exact, the flow preserves Phi, preserves f = a^r (hence the
 radial time r), and has det D > 0.  The integrator solves r once, at the
-starting points, and evaluates the field at that r; the certificate checks,
-never enforces, that f is preserved, by a cold solve of r at the images.
+starting points, evaluates the field at that r and carries it in the state
+for the quotient forms; the certificate checks, never enforces, that f is
+preserved, by a cold solve of r at the images.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .exterior import (
     HOLO_IM,
     HOLO_RE,
     J_STD,
+    acs_from_form_pair,
     invariant_part,
     metric_from_form,
     min_metric_eigenvalue,
@@ -62,11 +64,12 @@ _DP_ERR = (
 
 @dataclass(frozen=True)
 class DeformationState:
-    """Flow data at deformation time t: base points, images, and the
-    variational Jacobian D = Dphi_t (D(0) = Id, det D > 0)."""
+    """Flow data at deformation time t: base points, their radial time,
+    images, and the variational Jacobian D = Dphi_t (D(0) = Id, det D > 0)."""
 
     t: float
     x: np.ndarray  # (..., 4)
+    r: np.ndarray  # (...,)
     x_t: np.ndarray  # (..., 4)
     jac: np.ndarray  # (..., 4, 4)
 
@@ -160,7 +163,7 @@ def _flow_states(spec: FlowSpec, t_values, x: np.ndarray,
     if any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("t_values must be nondecreasing")
     pf = PotentialField(spec)
-    r0 = pf.solver.solve(x) if any(ts) else None
+    r0 = pf.solver.solve(x)
     eye = np.broadcast_to(np.eye(4).reshape(16), x.shape[:-1] + (16,))
     y = np.concatenate([x, eye], axis=-1)
     states = []
@@ -169,7 +172,7 @@ def _flow_states(spec: FlowSpec, t_values, x: np.ndarray,
         y = _integrate(pf, r0, y, prev, t, ode_tol)
         prev = t
         states.append(DeformationState(
-            t, x, y[..., :4], y[..., 4:].reshape(x.shape[:-1] + (4, 4))))
+            t, x, r0, y[..., :4], y[..., 4:].reshape(x.shape[:-1] + (4, 4))))
     return states
 
 
@@ -178,7 +181,7 @@ def integrate_flow(spec: FlowSpec, t: float, x: np.ndarray,
     """Flow points x to time t, carrying the variational Jacobian along.
 
     Local error per step is kept at or below ode_tol (absolute and relative);
-    t = 0 returns the identity state.
+    t = 0 returns the identity state (with the radial time of x).
     """
     return _flow_states(spec, (t,), x, ode_tol)[0]
 
@@ -196,16 +199,25 @@ def pullback_psi(state: DeformationState) -> np.ndarray:
 
 def quotient_triple(spec: FlowSpec, state: DeformationState) -> QuotientTriple:
     """Deck-invariant quotient forms at the base points of the state."""
-    pot = PotentialField(spec).potential(state.x, check_positive=False)
-    f = pot.f.value
+    f, grad, _ = PotentialField(spec).value_grad_hess(state.x, state.r)
     inv_f = 1.0 / f[..., None, None]
     return QuotientTriple(
         phi=HOLO_RE * inv_f,
         psi_plus=HOLO_IM * inv_f,
         psi_minus=pullback_psi(state) * inv_f,
-        tau=-pot.f.grad / f[..., None],
+        tau=-grad / f[..., None],
         f=f,
     )
+
+
+def structure_from_triple(triple: QuotientTriple):
+    """(j_minus, g, margin, p) of a quotient triple: j_minus solves
+    psi_minus(u, v) = -phi(j_minus u, v), g is the metric of the invariant
+    part of psi_minus, margin its least eigenvalue, p = -tr(J j_minus)/4."""
+    j_minus = acs_from_form_pair(triple.phi, triple.psi_minus)
+    g = metric_from_form(invariant_part(triple.psi_minus, J_STD), J_STD)
+    p = -0.25 * np.einsum("ik,...ki->...", J_STD, j_minus)
+    return j_minus, g, min_metric_eigenvalue(g), p
 
 
 def t_zero_derivative_check(spec: FlowSpec, x: np.ndarray, h_t: float = 1e-4,
@@ -216,8 +228,7 @@ def t_zero_derivative_check(spec: FlowSpec, x: np.ndarray, h_t: float = 1e-4,
     conformally normalised Kaehler form of the potential.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    pf = PotentialField(spec)
-    pot = pf.potential(x, check_positive=False)
+    pot = PotentialField(spec).potential(x, check_positive=False)
     plus = pullback_psi(integrate_flow(spec, h_t, x, ode_tol))
     minus = pullback_psi(integrate_flow(spec, -h_t, x, ode_tol))
     slope = (plus - minus) / (2.0 * h_t * pot.f.value[..., None, None])
@@ -236,6 +247,21 @@ class SweepRow:
     p_max: float
 
 
+def _sweep(spec: FlowSpec, t_grid, x: np.ndarray, ode_tol: float):
+    """(state, row) per distinct grid time, in increasing order, along one
+    trajectory of the samples x."""
+    ts = sorted({float(t) for t in t_grid})
+    for state in integrate_flow_chain(spec, ts, x, ode_tol):
+        _, _, margin, p = structure_from_triple(quotient_triple(spec, state))
+        yield state, SweepRow(
+            t=state.t,
+            min_margin=float(np.min(margin)),
+            argmin_sample_index=int(np.argmin(margin)),
+            p_min=float(np.min(p)),
+            p_max=float(np.max(p)),
+        )
+
+
 def positivity_sweep(spec: FlowSpec, t_grid, samples: np.ndarray,
                      ode_tol: float = DEFAULT_ODE_TOL) -> list[SweepRow]:
     """Minimum eigenvalue of the metric of the invariant part of the deformed
@@ -244,31 +270,7 @@ def positivity_sweep(spec: FlowSpec, t_grid, samples: np.ndarray,
     Near t = 0 the margin is linear with slope given by the potential form;
     the table reports, it does not assert.
     """
-    from .exterior import acs_from_form_pair
-
-    ts = sorted({float(t) for t in t_grid})
-    x = np.atleast_2d(np.asarray(samples, dtype=float))
-    f = PotentialField(spec).potential(x).f.value
-    rows = []
-    for state in integrate_flow_chain(spec, ts, x, ode_tol):
-        pulled = pullback_psi(state)
-        psi_minus = pulled / f[..., None, None]
-        margin = min_metric_eigenvalue(
-            metric_from_form(invariant_part(psi_minus, J_STD), J_STD)
-        )
-        j_minus = acs_from_form_pair(np.broadcast_to(HOLO_RE, pulled.shape),
-                                     pulled)
-        p = -0.25 * np.einsum("ik,...ki->...", J_STD, j_minus)
-        rows.append(
-            SweepRow(
-                t=state.t,
-                min_margin=float(np.min(margin)),
-                argmin_sample_index=int(np.argmin(margin)),
-                p_min=float(np.min(p)),
-                p_max=float(np.max(p)),
-            )
-        )
-    return rows
+    return [row for _, row in _sweep(spec, t_grid, samples, ode_tol)]
 
 
 def select_deformation_time(spec: FlowSpec, samples: np.ndarray,
@@ -276,23 +278,24 @@ def select_deformation_time(spec: FlowSpec, samples: np.ndarray,
                             ode_tol: float = DEFAULT_ODE_TOL):
     """Largest grid time whose margin exceeds 10% of the t-linear prediction.
 
-    Returns (t_star, rows, slope_floor); raises NotPositive when no grid time
-    is certified.
+    Returns (state, rows, slope_floor), where state is the flow of the
+    samples at the selected time t* = state.t; raises NotPositive when no
+    grid time is certified.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     pot = PotentialField(spec).potential(x)
     slope_floor = float(np.min(min_metric_eigenvalue(
         metric_from_form(pot.lck_form, J_STD))))
-    rows = positivity_sweep(spec, t_grid, x, ode_tol)
+    swept = list(_sweep(spec, t_grid, x, ode_tol))
     chosen = None
-    for row in rows:
+    for state, row in swept:
         if row.t > 0.0 and row.min_margin >= 0.1 * row.t * slope_floor:
-            chosen = row.t
+            chosen = state
     if chosen is None:
         raise NotPositive(
             "no deformation time on the grid has a certified positive margin"
         )
-    return chosen, rows, slope_floor
+    return chosen, [row for _, row in swept], slope_floor
 
 
 def deformation_wedge_residuals(triple: QuotientTriple) -> dict[str, np.ndarray]:

@@ -370,21 +370,25 @@ class PotentialField:
         x = np.asarray(x, dtype=float)
         return self.solver.jet(x, self.solver.solve(x))
 
-    def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
-        """(f, grad f, hess f) at points x of radial time r, without
-        positivity checks; the flow-RHS fast path (no root solve)."""
-        rj = self.solver.jet(x, r)
+    def _f_jet(self, rj: JetScalar) -> JetScalar:
+        """2-jet of f = a^r from the 2-jet of r (chain rule)."""
         ln_a = self.spec.log_multiplier
         f = np.exp(ln_a * rj.value)
         grad = ln_a * f[..., None] * rj.grad
         hess = ln_a * f[..., None, None] * (
             rj.hess + ln_a * np.einsum("...i,...j->...ij", rj.grad, rj.grad)
         )
-        return f, grad, hess
+        return JetScalar(f, grad, hess)
+
+    def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
+        """(f, grad f, hess f) at points x of radial time r, without
+        positivity checks and without a root solve."""
+        fj = self._f_jet(self.solver.jet(x, r))
+        return fj.value, fj.grad, fj.hess
 
     def potential(self, x: np.ndarray, check_positive: bool = True) -> PotentialEval:
         rj = self.radial_time(x)
-        fj = (rj * self.spec.log_multiplier).exp()
+        fj = self._f_jet(rj)
         ddc = ddc_from_hessian(fj.hess)
         lck = ddc / fj.value[..., None, None]
         if check_positive:
@@ -412,21 +416,18 @@ def potential(spec: FlowSpec, z: np.ndarray, check_positive: bool = True) -> Pot
 # invariance diagnostics and sampling
 # ---------------------------------------------------------------------------
 
-def _relative_residuals(spec: FlowSpec, images: np.ndarray, x: np.ndarray,
-                        factor: float) -> np.ndarray:
-    pf = PotentialField(spec)
-    f_x = pf.potential(x, check_positive=False).f.value
-    f_img = pf.potential(images, check_positive=False).f.value
-    return np.abs(f_img - factor * f_x) / f_x
+def _f_value(spec: FlowSpec, x: np.ndarray) -> np.ndarray:
+    return PotentialField(spec).potential(x, check_positive=False).f.value
 
 
 def verify_rescaling(spec: FlowSpec, element, samples: np.ndarray) -> np.ndarray:
     """Per-sample relative residual of f(gamma z) = a^n f(z)."""
     from .hopf_groups import ContractionPower, apply_group_element
 
-    images = apply_group_element(element, samples)
     n = element.n if isinstance(element, ContractionPower) else 0
-    return _relative_residuals(spec, images, samples, spec.multiplier**n)
+    f_x = _f_value(spec, samples)
+    f_img = _f_value(spec, apply_group_element(element, samples))
+    return np.abs(f_img - spec.multiplier**n * f_x) / f_x
 
 
 def verify_h_invariance(spec: FlowSpec, elements, samples: np.ndarray) -> np.ndarray:
@@ -437,11 +438,12 @@ def verify_h_invariance(spec: FlowSpec, elements, samples: np.ndarray) -> np.nda
     """
     from .hopf_groups import UnitaryElement, apply_group_element
 
-    worst = np.zeros(np.asarray(samples).shape[:-1])
+    f_x = _f_value(spec, samples)
+    worst = np.zeros(f_x.shape)
     for h in elements:
         elem = h if isinstance(h, UnitaryElement) else UnitaryElement(h)
-        images = apply_group_element(elem, samples)
-        worst = np.maximum(worst, _relative_residuals(spec, images, samples, 1.0))
+        f_img = _f_value(spec, apply_group_element(elem, samples))
+        worst = np.maximum(worst, np.abs(f_img - f_x) / f_x)
     return worst
 
 

@@ -131,7 +131,7 @@ def test_criterion_3_deformation_invariants():
     samples = fundamental_annulus_sample(7, CASE_B, 50)
     pf = PotentialField(spec)
     f0 = pf.potential(samples).f.value
-    t_star, _, _ = select_deformation_time(spec, samples)
+    t_star = select_deformation_time(spec, samples)[0].t
 
     worst_f = worst_phi = worst_sq = worst_mixed = 0.0
     for t in (0.01, 0.05, t_star):

@@ -346,6 +346,31 @@ class TestRunCertificate:
         assert report.excluded_samples == 0
         assert sum(points) == n * (1 + 1 + len(gens))
 
+    def test_selected_t_integrates_the_samples_once(self, monkeypatch):
+        # the sweep hands over its state at t*, so the samples are not
+        # integrated again for the base assembly
+        import biherm.deformation
+
+        data = HopfGroupData(CASE_B, (np.diag([EPS3, 1 / EPS3]),))
+        cfg = CertificateConfig(data=data, n=4, with_differential=False)
+        samples = fundamental_annulus_sample(cfg.seed, flow_spec_for(CASE_B),
+                                             cfg.n)
+        of_samples = []
+
+        def counting(orig):
+            def wrapper(spec, t, x, *args, **kwargs):
+                of_samples.append(np.array_equal(x, samples))
+                return orig(spec, t, x, *args, **kwargs)
+            return wrapper
+
+        for module, name in ((biherm.certificate, "integrate_flow"),
+                             (biherm.deformation, "integrate_flow"),
+                             (biherm.deformation, "integrate_flow_chain")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        report = run_certificate(cfg)
+        assert report.passed and report.sweep is not None
+        assert sum(of_samples) == 1
+
     def test_family_on_no_sample_fails_the_pass(self, monkeypatch):
         # a family evaluated on no sample sits at tier vacuously (max 0) and
         # must still fail the certificate

@@ -1,11 +1,16 @@
 """Command dispatch, exit codes, report artifacts, determinism."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biherm.certificate import DEFAULT_TOLERANCES
 from biherm.cli import main
 
 ROOT3 = float(np.sqrt(3) / 2)
@@ -124,6 +129,8 @@ class TestCertifyCommand:
         ["--t", "inf"],
         ["--t-grid", "0:nan:0.1"],
         ["--t-grid", "0:inf:0.1"],
+        ["--t-grid", "0:1:1e-300"],
+        ["--t-grid", "0:1e308:1e-10"],
     ])
     def test_bad_numbers_are_parse_errors(self, tmp_path, capsys, argv):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -155,6 +162,50 @@ class TestSweepCommand:
         assert float(first[0]) == 0.0
         assert abs(float(first[1])) < 1e-12
         assert float(first[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+NUMBER_TEXT = st.sampled_from(
+    ["0", "0.05", "0.2", "0.5", "-0.1", "1e-300", "nan", "inf", "-inf", "x", ""])
+T_GRID_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(NUMBER_TEXT, min_size=3, max_size=3).map(":".join))
+TOL_TIER_TEXT = st.builds(
+    "{}={}".format,
+    st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["nonsense", ""]), NUMBER_TEXT)
+FUZZ_DOCS = {"b": CASE_B_DOC, "c": CASE_C_DOC, "not_real": NOT_REAL_DOC,
+             "bad_det": BAD_DET_DOC}
+
+
+@st.composite
+def fuzz_flags(draw):
+    # --samples is always small, so that every sweep stays cheap
+    flags = [f"--samples={draw(st.integers(-2, 2))}"]
+    for flag, text in (("--t-grid", T_GRID_TEXT), ("--t", NUMBER_TEXT),
+                       ("--tol-tier", TOL_TIER_TEXT)):
+        if draw(st.booleans()):
+            flags.append(f"{flag}={draw(text)}")
+    return flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return {name: write(root, f"{name}.json", doc)
+            for name, doc in FUZZ_DOCS.items()}
+
+
+class TestArgvFuzz:
+    @given(command=st.sampled_from(["classify", "sweep"]),
+           doc=st.sampled_from(sorted(FUZZ_DOCS)), flags=fuzz_flags())
+    @settings(max_examples=60, deadline=None)
+    def test_every_argv_ends_in_a_documented_exit(self, fuzz_configs, command,
+                                                  doc, flags):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, "--config", fuzz_configs[doc], *flags])
+        assert code in range(6)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOtherCommands:

@@ -143,6 +143,28 @@ class TestIntegrateFlow:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_quotient_forms_and_sweep_reuse_the_radial_time(self, monkeypatch):
+        # the state carries r, so the quotient forms and the sweep solve
+        # nothing; the integrator's one solve at the starting points is all
+        from biherm.potentials import RadialSolver
+
+        solved = []
+        solve = RadialSolver.solve
+
+        def counting(self, x):
+            solved.append(x.shape)
+            return solve(self, x)
+
+        monkeypatch.setattr(RadialSolver, "solve", counting)
+        spec = flow_spec_for(CASE_C)
+        x = fundamental_annulus_sample(22, CASE_C, 6)
+        state = integrate_flow(spec, 0.2, x)
+        assert solved == [x.shape]
+        quotient_triple(spec, state)
+        assert solved == [x.shape]
+        positivity_sweep(spec, (0.1, 0.2), x)
+        assert solved == [x.shape, x.shape]
+
     def test_negative_time(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(6, CASE_B, 8)
@@ -303,8 +325,14 @@ class TestSweep:
     def test_select_deformation_time(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(18, CASE_B, 25)
-        t_star, rows, slope = select_deformation_time(spec, x)
+        state, rows, slope = select_deformation_time(spec, x)
+        t_star = state.t
         assert t_star > 0
         assert slope > 0
         lookup = {r.t: r for r in rows}
         assert lookup[t_star].min_margin >= 0.1 * t_star * slope
+        # the state handed over is the flow of the samples to t*
+        direct = integrate_flow(spec, t_star, x)
+        assert np.array_equal(state.x, x) and np.array_equal(state.r, direct.r)
+        assert np.max(np.abs(state.x_t - direct.x_t)) < 1e-9
+        assert np.max(np.abs(state.jac - direct.jac)) < 1e-8

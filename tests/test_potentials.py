@@ -237,6 +237,24 @@ class TestInvariances:
         res = verify_h_invariance(spec, group_closure(gens), samples)
         assert np.max(res) < 1e-12
 
+    def test_h_invariance_solves_the_samples_once(self, monkeypatch):
+        from biherm.potentials import RadialSolver
+
+        solved = []
+        solve = RadialSolver.solve
+
+        def counting(self, x):
+            solved.append(None)
+            return solve(self, x)
+
+        monkeypatch.setattr(RadialSolver, "solve", counting)
+        spec = flow_spec_for(CASE_B)
+        samples = fundamental_annulus_sample(29, CASE_B, 10)
+        closure = group_closure([np.diag([np.exp(2j * np.pi / 3),
+                                          np.exp(-2j * np.pi / 3)])])
+        verify_h_invariance(spec, closure, samples)
+        assert len(solved) == 1 + len(closure)
+
     def test_shear_invariance_requires_constraint(self):
         spec = flow_spec_for(CASE_C)
         samples = fundamental_annulus_sample(37, CASE_C, 60)

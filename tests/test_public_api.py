@@ -1,5 +1,7 @@
-"""The package namespace and the entry points that the benchmark wraps."""
+"""The package namespace, its imports and the entry points that the
+benchmark wraps."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,6 +10,38 @@ import biherm
 from biherm import certificate, deformation
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = Path(biherm.__file__).resolve().parent
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads and,
+    in a package ``__init__``, does not list in ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exported)
+
+
+def test_unused_import_detector():
+    assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
+        ["b", "os"]
+    assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def test_every_module_level_import_is_used():
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert not unused
 
 
 def test_all_names_resolve():
