@@ -31,6 +31,7 @@ from .deformation import (
     QuotientTriple,
     deformation_wedge_residuals,
     integrate_flow,
+    integrate_flow_chain,
     quotient_triple,
     select_deformation_time,
     structure_from_triple,
@@ -47,8 +48,6 @@ from .exterior import (
     hodge_star_three,
     invariant_part,
     j_act_oneform,
-    metric_from_form,
-    min_metric_eigenvalue,
     nijenhuis_from_partials,
     norm_sq_oneform,
     stencil_step,
@@ -67,6 +66,7 @@ from .hopf_groups import (
 )
 from .potentials import (
     FlowSpec,
+    PotentialEval,
     PotentialField,
     flow_spec_for,
     fundamental_annulus_sample,
@@ -170,16 +170,11 @@ class BihermitianSample:
                                 for fld in fields(self) if fld.name != "t"})
 
 
-def assemble_from_triple(triple: QuotientTriple, state: DeformationState,
-                         check_positivity: bool = True) -> BihermitianSample:
+def assemble_from_triple(triple: QuotientTriple,
+                         state: DeformationState) -> BihermitianSample:
     """Pointwise assembly (no Lee forms; those need a field, see
-    ``StructureField.lee_forms``)."""
+    ``StructureField.lee_forms``); the margin is reported, not checked."""
     j_minus, g, margin, p = structure_from_triple(triple)
-    if check_positivity and np.any(margin <= 0.0):
-        raise NotPositive(
-            "invariant part of the deformed form is not positive at "
-            f"{int(np.sum(margin <= 0.0))} point(s); reduce t"
-        )
     comm = (np.einsum("ij,...jk->...ik", J_STD, j_minus)
             - np.einsum("...ij,jk->...ik", j_minus, J_STD))
     phi_g = 0.5 * np.einsum("...ji,...jk->...ik", comm, g)
@@ -236,7 +231,7 @@ class StructureField:
     def _assemble_chunk(self, x: np.ndarray) -> BihermitianSample:
         state = integrate_flow(self.spec, self.t, x, self.ode_tol)
         triple = quotient_triple(self.spec, state)
-        return assemble_from_triple(triple, state, check_positivity=False)
+        return assemble_from_triple(triple, state)
 
     def assemble(self, x: np.ndarray) -> BihermitianSample:
         """Assembled structure at x (batched, chunked, thread-mapped)."""
@@ -534,14 +529,16 @@ class CertificateReport:
         return canonical_json(self.to_json_dict())
 
 
-def deform_samples(spec: FlowSpec, samples: np.ndarray,
+def deform_samples(spec: FlowSpec, pot: PotentialEval,
                    cfg: CertificateConfig):
-    """(state, rows, slope_floor): the samples flowed, once, to cfg.t or to
-    the time the positivity sweep selects (rows and slope are None when
-    cfg.t is given)."""
+    """(state, rows, slope_floor): the samples of pot flowed, once, to cfg.t
+    or to the time the positivity sweep selects (rows and slope are None
+    when cfg.t is given)."""
     if cfg.t is None:
-        return select_deformation_time(spec, samples, cfg.t_grid, cfg.ode_tol)
-    return integrate_flow(spec, float(cfg.t), samples, cfg.ode_tol), None, None
+        return select_deformation_time(spec, pot, cfg.t_grid, cfg.ode_tol)
+    state, = integrate_flow_chain(spec, (float(cfg.t),), pot.x, pot.r.value,
+                                  cfg.ode_tol)
+    return state, None, None
 
 
 def run_certificate(cfg: CertificateConfig) -> CertificateReport:
@@ -573,21 +570,18 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     # raises NotPlurisubharmonic for inadmissible shears; the empirical
     # margin quantifies how far |lambda| is from the admissible boundary
     pot = pf.potential(samples)
-    potential_margin = float(np.min(min_metric_eigenvalue(
-        metric_from_form(pot.ddc_f, J_STD))))
 
     # families evaluated at all n samples, restricted to the kept ones below
     every: dict[str, np.ndarray] = {}
     every["potential_rescaling"] = verify_rescaling(
-        spec, ContractionPower(cfg.data.contraction, 1), samples)
-    every["potential_h_invariance"] = verify_h_invariance(
-        spec, closure, samples)
+        spec, ContractionPower(cfg.data.contraction, 1), pot)
+    every["potential_h_invariance"] = verify_h_invariance(spec, closure, pot)
 
-    state, rows, _ = deform_samples(spec, samples, cfg)
+    state, rows, _ = deform_samples(spec, pot, cfg)
     sweep_rows = None if rows is None else [asdict(r) for r in rows]
     field_ = StructureField(spec, state.t, cfg.ode_tol, cfg.fd_step, cfg.threads)
     triple = quotient_triple(spec, state)
-    sample = assemble_from_triple(triple, state, check_positivity=False)
+    sample = assemble_from_triple(triple, state)
 
     idx = np.nonzero(sample.margin > 0.0)[0]
     excluded = cfg.n - idx.size
@@ -599,7 +593,7 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
         )
     kept = sample.subset(idx)
 
-    f_end = pf.potential(state.x_t, check_positive=False).f.value
+    f_end = pf.f_value(state.x_t)
     every["flow_preserves_f"] = np.abs(f_end - triple.f) / triple.f
     pulled_phi = np.einsum("...ji,jk,...kl->...il", state.jac, HOLO_RE, state.jac)
     every["flow_preserves_phi"] = _rel(pulled_phi, np.broadcast_to(
@@ -622,5 +616,5 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
         params=cfg.echo(), case=label.to_json(), t=state.t, n=cfg.n,
         seed=cfg.seed, tolerances=tolerances, identities=identities,
         excluded_samples=excluded, passed=passed, sweep=sweep_rows,
-        potential_margin=potential_margin,
+        potential_margin=float(np.min(pot.margin)),
     )

@@ -159,8 +159,8 @@ def cmd_sweep(args) -> int:
     samples = fundamental_annulus_sample(cfg.seed, spec, cfg.n)
     grid = cfg.t_grid if args.t_grid else (0.0,) + cfg.t_grid
     # an inadmissible shear is an analytic refusal, as in certify
-    PotentialField(spec).potential(samples)
-    rows = positivity_sweep(spec, grid, samples, cfg.ode_tol)
+    pot = PotentialField(spec).potential(samples)
+    rows = positivity_sweep(spec, grid, pot, cfg.ode_tol)
     lines = ["t,min_margin,argmin_sample_index,p_min,p_max"]
     lines += [
         f"{r.t!r},{r.min_margin!r},{r.argmin_sample_index},{r.p_min!r},{r.p_max!r}"
@@ -182,9 +182,9 @@ def cmd_construct(args) -> int:
         return EXIT_CLASSIFY
     spec = flow_spec_for(cfg.data.contraction)
     samples = fundamental_annulus_sample(cfg.seed, spec, cfg.n)
-    state, _, slope = deform_samples(spec, samples, cfg)
-    sample = assemble_from_triple(quotient_triple(spec, state), state,
-                                  check_positivity=False)
+    pot = PotentialField(spec).potential(samples)
+    state, _, slope = deform_samples(spec, pot, cfg)
+    sample = assemble_from_triple(quotient_triple(spec, state), state)
     payload = {
         "case": label.to_json(),
         "t": state.t,
@@ -264,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed < 0:  # numpy's generators reject a negative seed
+            raise GroupDataError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except (GroupDataError, ConstraintViolation) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,10 +12,11 @@ and dividing the triple (Phi, Im Omega, psi_minus) by f produces deck-group
 invariant forms whose invariant part becomes positive for small t > 0.
 
 Since i_X Phi is exact, the flow preserves Phi, preserves f = a^r (hence the
-radial time r), and has det D > 0.  The integrator solves r once, at the
-starting points, evaluates the field at that r and carries it in the state
-for the quotient forms; the certificate checks, never enforces, that f is
-preserved, by a cold solve of r at the images.
+radial time r), and has det D > 0.  A trajectory starts from a known r
+(the samples' ``PotentialEval``, or one solve in ``integrate_flow``), the
+field is evaluated at that r, and the state carries it for the quotient
+forms; the certificate checks, never enforces, that f is preserved, by a
+cold solve of r at the images.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from .exterior import (
     HOLO_RE,
     J_STD,
     acs_from_form_pair,
+    ddc_from_hessian,
     invariant_part,
     metric_from_form,
     min_metric_eigenvalue,
     wedge_to_volume,
 )
-from .potentials import FlowSpec, PotentialField
+from .potentials import FlowSpec, PotentialEval, PotentialField
 
 DEFAULT_ODE_TOL = 1e-10
 DEFAULT_T_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
@@ -101,7 +103,7 @@ def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
     """
     pf = PotentialField(spec)
     z = np.asarray(z, dtype=float)
-    return _field_and_derivative(pf, pf.solver.solve(z), z)
+    return _field_and_derivative(pf, pf.solve(z), z)
 
 
 def _flow_rhs(pf: PotentialField, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -154,16 +156,16 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y0: np.ndarray, t0: float,
     raise StepSizeUnderflow(f"exceeded {_MAX_STEPS} steps integrating to t = {t1}")
 
 
-def _flow_states(spec: FlowSpec, t_values, x: np.ndarray,
+def _flow_states(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,
                  ode_tol: float) -> list[DeformationState]:
-    """States at a nondecreasing sequence of times along one trajectory; the
-    radial time is solved once, at the starting points."""
+    """States at a nondecreasing sequence of times along one trajectory from
+    the points x of radial time r."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    r0 = np.reshape(r, x.shape[:-1])
     ts = [float(t) for t in t_values]
     if any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("t_values must be nondecreasing")
     pf = PotentialField(spec)
-    r0 = pf.solver.solve(x)
     eye = np.broadcast_to(np.eye(4).reshape(16), x.shape[:-1] + (16,))
     y = np.concatenate([x, eye], axis=-1)
     states = []
@@ -183,13 +185,15 @@ def integrate_flow(spec: FlowSpec, t: float, x: np.ndarray,
     Local error per step is kept at or below ode_tol (absolute and relative);
     t = 0 returns the identity state (with the radial time of x).
     """
-    return _flow_states(spec, (t,), x, ode_tol)[0]
+    x = np.asarray(x, dtype=float)
+    return _flow_states(spec, (t,), x, PotentialField(spec).solve(x), ode_tol)[0]
 
 
-def integrate_flow_chain(spec: FlowSpec, t_values, x: np.ndarray,
+def integrate_flow_chain(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,
                          ode_tol: float = DEFAULT_ODE_TOL) -> list[DeformationState]:
-    """States at an increasing sequence of times, continuing one trajectory."""
-    return _flow_states(spec, t_values, x, ode_tol)
+    """States at an increasing sequence of times, continuing one trajectory
+    from the points x of known radial time r (no root solve)."""
+    return _flow_states(spec, t_values, x, r, ode_tol)
 
 
 def pullback_psi(state: DeformationState) -> np.ndarray:
@@ -228,11 +232,13 @@ def t_zero_derivative_check(spec: FlowSpec, x: np.ndarray, h_t: float = 1e-4,
     conformally normalised Kaehler form of the potential.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    pot = PotentialField(spec).potential(x, check_positive=False)
-    plus = pullback_psi(integrate_flow(spec, h_t, x, ode_tol))
-    minus = pullback_psi(integrate_flow(spec, -h_t, x, ode_tol))
-    slope = (plus - minus) / (2.0 * h_t * pot.f.value[..., None, None])
-    target = pot.lck_form
+    pf = PotentialField(spec)
+    r = pf.solve(x)
+    plus, minus = (pullback_psi(integrate_flow_chain(spec, (s,), x, r, ode_tol)[0])
+                   for s in (h_t, -h_t))
+    f, _, hess = pf.value_grad_hess(x, r)
+    slope = (plus - minus) / (2.0 * h_t * f[..., None, None])
+    target = ddc_from_hessian(hess) / f[..., None, None]
     num = np.max(np.abs(slope - target), axis=(-2, -1))
     den = np.max(np.abs(target), axis=(-2, -1))
     return num / den
@@ -247,11 +253,11 @@ class SweepRow:
     p_max: float
 
 
-def _sweep(spec: FlowSpec, t_grid, x: np.ndarray, ode_tol: float):
+def _sweep(spec: FlowSpec, t_grid, pot: PotentialEval, ode_tol: float):
     """(state, row) per distinct grid time, in increasing order, along one
-    trajectory of the samples x."""
+    trajectory of the samples of pot."""
     ts = sorted({float(t) for t in t_grid})
-    for state in integrate_flow_chain(spec, ts, x, ode_tol):
+    for state in integrate_flow_chain(spec, ts, pot.x, pot.r.value, ode_tol):
         _, _, margin, p = structure_from_triple(quotient_triple(spec, state))
         yield state, SweepRow(
             t=state.t,
@@ -262,31 +268,29 @@ def _sweep(spec: FlowSpec, t_grid, x: np.ndarray, ode_tol: float):
         )
 
 
-def positivity_sweep(spec: FlowSpec, t_grid, samples: np.ndarray,
+def positivity_sweep(spec: FlowSpec, t_grid, pot: PotentialEval,
                      ode_tol: float = DEFAULT_ODE_TOL) -> list[SweepRow]:
     """Minimum eigenvalue of the metric of the invariant part of the deformed
-    form, per deformation time over the sample set.
+    form, per deformation time over the samples of pot.
 
     Near t = 0 the margin is linear with slope given by the potential form;
     the table reports, it does not assert.
     """
-    return [row for _, row in _sweep(spec, t_grid, samples, ode_tol)]
+    return [row for _, row in _sweep(spec, t_grid, pot, ode_tol)]
 
 
-def select_deformation_time(spec: FlowSpec, samples: np.ndarray,
+def select_deformation_time(spec: FlowSpec, pot: PotentialEval,
                             t_grid=DEFAULT_T_GRID,
                             ode_tol: float = DEFAULT_ODE_TOL):
     """Largest grid time whose margin exceeds 10% of the t-linear prediction.
 
     Returns (state, rows, slope_floor), where state is the flow of the
-    samples at the selected time t* = state.t; raises NotPositive when no
-    grid time is certified.
+    samples of pot at the selected time t* = state.t; raises NotPositive
+    when no grid time is certified.
     """
-    x = np.atleast_2d(np.asarray(samples, dtype=float))
-    pot = PotentialField(spec).potential(x)
     slope_floor = float(np.min(min_metric_eigenvalue(
         metric_from_form(pot.lck_form, J_STD))))
-    swept = list(_sweep(spec, t_grid, x, ode_tol))
+    swept = list(_sweep(spec, t_grid, pot, ode_tol))
     chosen = None
     for state, row in swept:
         if row.t > 0.0 and row.min_margin >= 0.1 * row.t * slope_floor:

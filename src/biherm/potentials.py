@@ -287,12 +287,32 @@ def _scan_for_multiple_roots(spec: FlowSpec, lo, hi, x) -> None:
         )
 
 
-class RadialSolver:
-    """Root finder for the radial time with jet-grade derivatives.
+# ---------------------------------------------------------------------------
+# the radial time r, the potential f = a^r and its derived forms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PotentialEval:
+    """Potential data at a point set x, checked once: radial time and
+    potential as 2-jets, dd^c f, the conformally normalised form dd^c f / f,
+    and margin, the least eigenvalue of the metric of dd^c f (positive at
+    every point)."""
+
+    x: np.ndarray
+    r: JetScalar
+    f: JetScalar
+    ddc_f: np.ndarray
+    lck_form: np.ndarray
+    margin: np.ndarray
+
+
+class PotentialField:
+    """The radial time r and the potential f = a^r of one flow.
 
     ``solve`` performs the guarded cold start (bracket, multiple-root scan,
-    bisection, Newton polish); ``jet`` evaluates the implicit-function
-    derivatives at a given (x, r).
+    bisection, Newton polish); ``radial_jet`` and ``value_grad_hess`` take
+    derivatives at a known r with no root solve; ``f_value`` is f alone;
+    ``potential`` evaluates and checks a point set once.
     """
 
     def __init__(self, spec: FlowSpec):
@@ -325,7 +345,7 @@ class RadialSolver:
             r = np.where(slope > 0.0, r - value / safe, r)
         return r
 
-    def jet(self, x: np.ndarray, r: np.ndarray) -> JetScalar:
+    def radial_jet(self, x: np.ndarray, r: np.ndarray) -> JetScalar:
         """2-jet of r(z) via the implicit function theorem on G(r(z), z) = 0."""
         grad, hess = _g_derivatives(self.spec, r, x)
         gr = grad[..., 0]
@@ -343,33 +363,6 @@ class RadialSolver:
         ) / gr[..., None, None]
         return JetScalar(np.asarray(r, dtype=float), ri, rij)
 
-
-# ---------------------------------------------------------------------------
-# the potential f = a^r and its derived forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PotentialEval:
-    """Potential data at one point (or a batch): radial time and potential as
-    2-jets, dd^c f, and the conformally normalised form dd^c f / f."""
-
-    r: JetScalar
-    f: JetScalar
-    ddc_f: np.ndarray
-    lck_form: np.ndarray
-
-
-class PotentialField:
-    """Cached evaluator for r, f and dd^c f over one flow."""
-
-    def __init__(self, spec: FlowSpec):
-        self.spec = spec
-        self.solver = RadialSolver(spec)
-
-    def radial_time(self, x: np.ndarray) -> JetScalar:
-        x = np.asarray(x, dtype=float)
-        return self.solver.jet(x, self.solver.solve(x))
-
     def _f_jet(self, rj: JetScalar) -> JetScalar:
         """2-jet of f = a^r from the 2-jet of r (chain rule)."""
         ln_a = self.spec.log_multiplier
@@ -380,69 +373,65 @@ class PotentialField:
         )
         return JetScalar(f, grad, hess)
 
+    def f_value(self, x: np.ndarray) -> np.ndarray:
+        """f = a^r at x: one root solve, no derivatives, no positivity check."""
+        return np.exp(self.spec.log_multiplier
+                      * self.solve(np.asarray(x, dtype=float)))
+
     def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
         """(f, grad f, hess f) at points x of radial time r, without
         positivity checks and without a root solve."""
-        fj = self._f_jet(self.solver.jet(x, r))
+        fj = self._f_jet(self.radial_jet(x, r))
         return fj.value, fj.grad, fj.hess
 
-    def potential(self, x: np.ndarray, check_positive: bool = True) -> PotentialEval:
-        rj = self.radial_time(x)
+    def potential(self, x: np.ndarray) -> PotentialEval:
+        """r, f and dd^c f at x; raises NotPlurisubharmonic unless dd^c f is
+        positive definite at every point."""
+        x = np.asarray(x, dtype=float)
+        rj = self.radial_jet(x, self.solve(x))
         fj = self._f_jet(rj)
         ddc = ddc_from_hessian(fj.hess)
         lck = ddc / fj.value[..., None, None]
-        if check_positive:
-            margin = min_metric_eigenvalue(metric_from_form(ddc, J_STD))
-            if np.any(margin <= 0.0):
-                raise NotPlurisubharmonic(
-                    "dd^c f is not positive definite at a sample point "
-                    f"(min eigenvalue {float(np.min(margin)):.3e}); "
-                    "reduce |lambda| and rerun"
-                )
-        return PotentialEval(rj, fj, ddc, lck)
-
-
-def radial_time(spec: FlowSpec, z: np.ndarray) -> JetScalar:
-    """Radial time r(z) with gradient and Hessian; |phi_{-r}(z)| = 1."""
-    return PotentialField(spec).radial_time(z)
-
-
-def potential(spec: FlowSpec, z: np.ndarray, check_positive: bool = True) -> PotentialEval:
-    """Potential f = a^r at z together with dd^c f and dd^c f / f."""
-    return PotentialField(spec).potential(z, check_positive)
+        margin = min_metric_eigenvalue(metric_from_form(ddc, J_STD))
+        if np.any(margin <= 0.0):
+            raise NotPlurisubharmonic(
+                "dd^c f is not positive definite at a sample point "
+                f"(min eigenvalue {float(np.min(margin)):.3e}); "
+                "reduce |lambda| and rerun"
+            )
+        return PotentialEval(x, rj, fj, ddc, lck, margin)
 
 
 # ---------------------------------------------------------------------------
 # invariance diagnostics and sampling
 # ---------------------------------------------------------------------------
 
-def _f_value(spec: FlowSpec, x: np.ndarray) -> np.ndarray:
-    return PotentialField(spec).potential(x, check_positive=False).f.value
-
-
-def verify_rescaling(spec: FlowSpec, element, samples: np.ndarray) -> np.ndarray:
-    """Per-sample relative residual of f(gamma z) = a^n f(z)."""
+def verify_rescaling(spec: FlowSpec, element, pot: PotentialEval) -> np.ndarray:
+    """Per-sample relative residual of f(gamma z) = a^n f(z) at the points
+    of pot."""
     from .hopf_groups import ContractionPower, apply_group_element
 
     n = element.n if isinstance(element, ContractionPower) else 0
-    f_x = _f_value(spec, samples)
-    f_img = _f_value(spec, apply_group_element(element, samples))
+    f_x = pot.f.value
+    f_img = PotentialField(spec).f_value(apply_group_element(element, pot.x))
     return np.abs(f_img - spec.multiplier**n * f_x) / f_x
 
 
-def verify_h_invariance(spec: FlowSpec, elements, samples: np.ndarray) -> np.ndarray:
-    """Per-sample worst relative residual of f(h z) = f(z) over the closure.
+def verify_h_invariance(spec: FlowSpec, elements, pot: PotentialEval) -> np.ndarray:
+    """Per-sample worst relative residual of f(h z) = f(z) over the closure,
+    at the points of pot.
 
     For shear flows this passes exactly when eps^{m+1} = 1, i.e. under the
     m = k*ell - 1 constraint; the residual is order one otherwise.
     """
     from .hopf_groups import UnitaryElement, apply_group_element
 
-    f_x = _f_value(spec, samples)
+    pf = PotentialField(spec)
+    f_x = pot.f.value
     worst = np.zeros(f_x.shape)
     for h in elements:
         elem = h if isinstance(h, UnitaryElement) else UnitaryElement(h)
-        f_img = _f_value(spec, apply_group_element(elem, samples))
+        f_img = pf.f_value(apply_group_element(elem, pot.x))
         worst = np.maximum(worst, np.abs(f_img - f_x) / f_x)
     return worst
 

@@ -28,7 +28,7 @@ from biherm.deformation import (
     select_deformation_time,
     t_zero_derivative_check,
 )
-from biherm.exterior import HOLO_RE, J_STD, KAHLER_STD, metric_from_form, min_metric_eigenvalue, wedge_to_volume
+from biherm.exterior import HOLO_RE, J_STD, KAHLER_STD, wedge_to_volume
 from biherm.hopf_groups import (
     ContractionParams,
     ContractionPower,
@@ -106,13 +106,12 @@ def test_criterion_2_potential_properties():
     for name, data in GROUPS.items():
         spec = flow_spec_for(data.contraction)
         samples = fundamental_annulus_sample(7, data.contraction, 1000)
-        rescale = np.max(verify_rescaling(
-            spec, ContractionPower(data.contraction, 1), samples))
-        invariance = np.max(verify_h_invariance(
-            spec, group_closure(data.h_generators), samples))
         pot = PotentialField(spec).potential(samples)
-        margin = float(np.min(min_metric_eigenvalue(
-            metric_from_form(pot.ddc_f, J_STD))))
+        rescale = np.max(verify_rescaling(
+            spec, ContractionPower(data.contraction, 1), pot))
+        invariance = np.max(verify_h_invariance(
+            spec, group_closure(data.h_generators), pot))
+        margin = float(np.min(pot.margin))
         worst_rescale = max(worst_rescale, float(rescale))
         worst_invariance = max(worst_invariance, float(invariance))
         worst_margin = min(worst_margin, margin)
@@ -130,13 +129,14 @@ def test_criterion_3_deformation_invariants():
     spec = flow_spec_for(CASE_B)
     samples = fundamental_annulus_sample(7, CASE_B, 50)
     pf = PotentialField(spec)
-    f0 = pf.potential(samples).f.value
-    t_star = select_deformation_time(spec, samples)[0].t
+    pot = pf.potential(samples)
+    f0 = pot.f.value
+    t_star = select_deformation_time(spec, pot)[0].t
 
     worst_f = worst_phi = worst_sq = worst_mixed = 0.0
     for t in (0.01, 0.05, t_star):
         state = integrate_flow(spec, t, samples)
-        f1 = pf.potential(state.x_t, check_positive=False).f.value
+        f1 = pf.f_value(state.x_t)
         worst_f = max(worst_f, float(np.max(np.abs(f1 - f0) / f0)))
         pulled = np.einsum("...ji,jk,...kl->...il", state.jac, HOLO_RE, state.jac)
         worst_phi = max(worst_phi, float(np.max(np.abs(pulled - HOLO_RE))))
@@ -256,7 +256,8 @@ def test_criterion_7_negative_controls():
     spec_c = flow_spec_for(CASE_C)
     samples = fundamental_annulus_sample(7, CASE_C, 12)
     bad_eps = np.diag([1j, -1j])
-    inv = float(np.max(verify_h_invariance(spec_c, [bad_eps], samples)))
+    inv = float(np.max(verify_h_invariance(
+        spec_c, [bad_eps], PotentialField(spec_c).potential(samples))))
     field = StructureField(spec_c, 0.25)
     equi = check_gamma_equivariance(field, field.assemble(samples[:6]),
                                     [UnitaryElement(bad_eps)])
@@ -272,7 +273,7 @@ def test_criterion_7_negative_controls():
     triple = quotient_triple(spec_b, state)
     bad = replace(triple, psi_minus=triple.psi_minus + 1e-3 * KAHLER_STD)
     res = check_pointwise_algebra(
-        assemble_from_triple(bad, state, check_positivity=False))
+        assemble_from_triple(bad, state))
     fired = {name: float(np.max(res[name]))
              for name in ("j_minus_square", "volume_psi_minus",
                           "invariant_part_psi_minus")}

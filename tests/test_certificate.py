@@ -19,7 +19,6 @@ from biherm.certificate import (
     run_certificate,
 )
 from biherm.deformation import integrate_flow, quotient_triple
-from biherm.errors import NotPositive
 from biherm.exterior import (
     J_STD,
     KAHLER_STD,
@@ -33,7 +32,11 @@ from biherm.hopf_groups import (
     HopfGroupData,
     UnitaryElement,
 )
-from biherm.potentials import flow_spec_for, fundamental_annulus_sample
+from biherm.potentials import (
+    PotentialField,
+    flow_spec_for,
+    fundamental_annulus_sample,
+)
 
 CASE_A = ContractionParams(0.5, 0.5)
 CASE_B = ContractionParams(0.5, 0.6)
@@ -41,22 +44,23 @@ CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
 EPS3 = np.exp(2j * np.pi / 3)
 
 
-def build_sample(params, t, n=20, seed=3, check_positivity=True):
+def build_sample(params, t, n=20, seed=3):
     spec = flow_spec_for(params)
     x = fundamental_annulus_sample(seed, params, n)
     state = integrate_flow(spec, t, x)
-    triple = quotient_triple(spec, state)
-    return assemble_from_triple(triple, state, check_positivity), spec, x
+    sample = assemble_from_triple(quotient_triple(spec, state), state)
+    # every sample of a flowed structure is positive in these tests
+    assert t == 0.0 or np.all(sample.margin > 0.0)
+    return sample, spec, x
 
 
 class TestAssembly:
     def test_unflowed_structure_is_degenerate_boundary(self):
-        # t = 0 bypassing positivity: j_minus = J_STD exactly and p = 1
-        sample, _, _ = build_sample(CASE_B, 0.0, check_positivity=False)
+        # t = 0: j_minus = J_STD exactly, p = 1, and no sample is positive
+        sample, _, _ = build_sample(CASE_B, 0.0)
         assert np.max(np.abs(sample.j_minus - J_STD)) < 1e-14
         assert np.max(np.abs(sample.p - 1.0)) < 1e-14
-        with pytest.raises(NotPositive):
-            build_sample(CASE_B, 0.0)
+        assert np.all(sample.margin <= 0.0)
 
     def test_case_a_pullback_oracle(self):
         sample, spec, x = build_sample(CASE_A, 0.25)
@@ -100,7 +104,7 @@ class TestPointwiseBattery:
 
     def test_synthetic_boundary_structure(self):
         # j_minus := J_STD makes the anticommutator vanish with p = 1
-        sample, _, _ = build_sample(CASE_B, 0.0, check_positivity=False)
+        sample, _, _ = build_sample(CASE_B, 0.0)
         res = check_pointwise_algebra(sample)
         assert np.max(res["anticommutator"]) < 1e-12
         assert np.max(res["angle_bound"]) == pytest.approx(1.0, abs=1e-13)
@@ -112,7 +116,7 @@ class TestPointwiseBattery:
         triple = quotient_triple(spec, state)
         bad = replace(triple, psi_minus=triple.psi_minus + 1e-3 * KAHLER_STD)
         res = check_pointwise_algebra(
-            assemble_from_triple(bad, state, check_positivity=False))
+            assemble_from_triple(bad, state))
         # first-order sensitive families must fire at >= 10x their tier
         for name in ("j_minus_square", "j_minus_orthogonality",
                      "volume_psi_minus", "invariant_part_psi_minus",
@@ -328,18 +332,23 @@ class TestRunCertificate:
         assert report.passed
 
     def test_each_base_point_is_integrated_once(self, monkeypatch):
-        # base assembly integrates the n samples once; with a fixed t and no
-        # differential families the only other flow is equivariance, one
-        # integration of the n images per deck element
+        # base assembly integrates the n samples once (one chain from their
+        # radial time); with a fixed t and no differential families the only
+        # other flow is equivariance, one integration of the n images per
+        # deck element
         gens = (np.diag([EPS3, 1 / EPS3]),)
         data = HopfGroupData(CASE_B, gens)
         points = []
 
-        def counting(spec, t, x, *args, **kwargs):
-            points.append(np.atleast_2d(x).shape[0])
-            return integrate_flow(spec, t, x, *args, **kwargs)
+        def counting(orig):
+            def wrapper(spec, t, x, *args, **kwargs):
+                points.append(np.atleast_2d(x).shape[0])
+                return orig(spec, t, x, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(biherm.certificate, "integrate_flow", counting)
+        for name in ("integrate_flow", "integrate_flow_chain"):
+            monkeypatch.setattr(biherm.certificate, name,
+                                counting(getattr(biherm.certificate, name)))
         n = 4
         report = run_certificate(CertificateConfig(
             data=data, t=0.2, n=n, with_differential=False))
@@ -364,12 +373,38 @@ class TestRunCertificate:
             return wrapper
 
         for module, name in ((biherm.certificate, "integrate_flow"),
+                             (biherm.certificate, "integrate_flow_chain"),
                              (biherm.deformation, "integrate_flow"),
                              (biherm.deformation, "integrate_flow_chain")):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
         report = run_certificate(cfg)
         assert report.passed and report.sweep is not None
         assert sum(of_samples) == 1
+
+    @pytest.mark.parametrize("t", (None, 0.2))
+    def test_samples_are_solved_once(self, monkeypatch, t):
+        # one potential evaluation serves the margin, the invariance
+        # families, the slope floor and the flow of the samples (the image
+        # of the samples under the identity of H is another array)
+        data = HopfGroupData(CASE_B, (np.diag([EPS3, 1 / EPS3]),))
+        cfg = CertificateConfig(data=data, t=t, n=4, with_differential=False)
+        drawn = []
+        of_samples = []
+        solve = PotentialField.solve
+
+        def sampling(*args):
+            drawn.append(fundamental_annulus_sample(*args))
+            return drawn[-1]
+
+        def counting(self, x):
+            of_samples.append(x is drawn[0])
+            return solve(self, x)
+
+        monkeypatch.setattr(biherm.certificate, "fundamental_annulus_sample",
+                            sampling)
+        monkeypatch.setattr(PotentialField, "solve", counting)
+        assert run_certificate(cfg).passed
+        assert len(drawn) == 1 and sum(of_samples) == 1
 
     def test_family_on_no_sample_fails_the_pass(self, monkeypatch):
         # a family evaluated on no sample sits at tier vacuously (max 0) and

@@ -92,12 +92,17 @@ class TestCertifyCommand:
                      write(tmp_path, "n.json", NOT_REAL_DOC), "--samples", "4"])
         assert code == 2
 
-    def test_oversized_shear_is_analytic_refusal(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["certify"], ["sweep"], ["construct"], ["construct", "--t", "0.2"]])
+    def test_oversized_shear_is_analytic_refusal(self, tmp_path, capsys, argv):
+        # refused before any flow, with or without a fixed t
         doc = dict(CASE_C_DOC, **{"lambda": 100.0})
-        code = main(["certify", "--config", write(tmp_path, "c.json", doc),
+        code = main([*argv, "--config", write(tmp_path, "c.json", doc),
                      "--samples", "4"])
+        err = capsys.readouterr().err
         assert code == 3
-        assert "lambda" in capsys.readouterr().err
+        assert err.startswith("analytic refusal:") and err.count("\n") == 1
+        assert "lambda" in err
 
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -125,6 +130,7 @@ class TestCertifyCommand:
         ["--tol-tier", "nonsense=1"],
         ["--samples", "abc"],
         ["--seed", "x"],
+        ["--seed", "-1"],
         ["--t", "nan"],
         ["--t", "inf"],
         ["--t-grid", "0:nan:0.1"],
@@ -166,6 +172,7 @@ class TestSweepCommand:
 
 NUMBER_TEXT = st.sampled_from(
     ["0", "0.05", "0.2", "0.5", "-0.1", "1e-300", "nan", "inf", "-inf", "x", ""])
+SEED_TEXT = st.one_of(st.integers(-2, 9).map(str), NUMBER_TEXT)
 T_GRID_TEXT = st.one_of(
     st.text(max_size=8),
     st.lists(NUMBER_TEXT, min_size=3, max_size=3).map(":".join))
@@ -181,7 +188,7 @@ def fuzz_flags(draw):
     # --samples is always small, so that every sweep stays cheap
     flags = [f"--samples={draw(st.integers(-2, 2))}"]
     for flag, text in (("--t-grid", T_GRID_TEXT), ("--t", NUMBER_TEXT),
-                       ("--tol-tier", TOL_TIER_TEXT)):
+                       ("--tol-tier", TOL_TIER_TEXT), ("--seed", SEED_TEXT)):
         if draw(st.booleans()):
             flags.append(f"{flag}={draw(text)}")
     return flags
@@ -224,6 +231,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("doc, argv", [
         (INOUE_SM_DOC, ["--samples", "0"]),
         (INOUE_SM_DOC, ["--samples", "-2"]),
+        (INOUE_SM_DOC, ["--seed", "-1"]),
         # alpha |beta|^2 = 4 * 0.81 breaks the S_M constraint
         ({"family": "SM", "generators": [
             {"p": 4.0, "r": {"re": 0.0, "im": 0.9}},
@@ -232,6 +240,12 @@ class TestOtherCommands:
     def test_inoue_bad_input_is_parse_error(self, tmp_path, capsys, doc, argv):
         code = main(["inoue", "--config", write(tmp_path, "sm.json", doc),
                      *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_oracle_negative_seed_is_parse_error(self, capsys):
+        code = main(["oracle", "--seed", "-1"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("parse error:") and err.count("\n") == 1

@@ -77,7 +77,7 @@ class TestIntegrateFlow:
         f0 = pf.potential(x).f.value
         for t in (0.1, 0.5):
             state = integrate_flow(spec, t, x)
-            f1 = pf.potential(state.x_t, check_positive=False).f.value
+            f1 = pf.f_value(state.x_t)
             assert np.max(np.abs(f1 - f0) / f0) < 1e-8
 
     @pytest.mark.parametrize("params", (CASE_B, CASE_C))
@@ -102,7 +102,8 @@ class TestIntegrateFlow:
     def test_chain_matches_direct(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(5, CASE_B, 8)
-        states = integrate_flow_chain(spec, (0.1, 0.25), x)
+        states = integrate_flow_chain(spec, (0.1, 0.25), x,
+                                      PotentialField(spec).solve(x))
         direct = integrate_flow(spec, 0.25, x)
         assert np.max(np.abs(states[-1].x_t - direct.x_t)) < 1e-9
         assert np.max(np.abs(states[-1].jac - direct.jac)) < 1e-8
@@ -144,25 +145,25 @@ class TestIntegrateFlow:
         assert counts[0] == counts[1]
 
     def test_quotient_forms_and_sweep_reuse_the_radial_time(self, monkeypatch):
-        # the state carries r, so the quotient forms and the sweep solve
-        # nothing; the integrator's one solve at the starting points is all
-        from biherm.potentials import RadialSolver
-
+        # the state carries r, so the quotient forms solve nothing, and the
+        # sweep starts from the r of the samples' potential evaluation
         solved = []
-        solve = RadialSolver.solve
+        solve = PotentialField.solve
 
         def counting(self, x):
             solved.append(x.shape)
             return solve(self, x)
 
-        monkeypatch.setattr(RadialSolver, "solve", counting)
+        monkeypatch.setattr(PotentialField, "solve", counting)
         spec = flow_spec_for(CASE_C)
         x = fundamental_annulus_sample(22, CASE_C, 6)
         state = integrate_flow(spec, 0.2, x)
         assert solved == [x.shape]
         quotient_triple(spec, state)
         assert solved == [x.shape]
-        positivity_sweep(spec, (0.1, 0.2), x)
+        pot = PotentialField(spec).potential(x)
+        assert solved == [x.shape, x.shape]
+        positivity_sweep(spec, (0.1, 0.2), pot)
         assert solved == [x.shape, x.shape]
 
     def test_negative_time(self):
@@ -211,7 +212,7 @@ class TestQuotientTriple:
         pf = PotentialField(spec)
         x = np.array([1.0, 0.0, 0.0, 0.0])
         cloud = StencilCloud(x.reshape(1, 4), stencil_step(x.reshape(1, 4), 1e-3))
-        f_cloud = pf.potential(cloud.points, check_positive=False).f.value
+        f_cloud = pf.f_value(cloud.points)
         d = cloud.d_two_form(HOLO_IM / f_cloud[:, None, None])[0]
         pot = pf.potential(x.reshape(1, 4))
         tau = -pot.f.grad[0] / pot.f.value[0]
@@ -269,6 +270,20 @@ class TestSlopeAtZero:
         res = t_zero_derivative_check(flow_spec_for(params), x, h_t=1e-4)
         assert np.max(res) < 1e-5
 
+    def test_check_solves_the_points_once(self, monkeypatch):
+        # both flows and the target dd^c f / f share one radial time
+        solved = []
+        solve = PotentialField.solve
+
+        def counting(self, x):
+            solved.append(x.shape)
+            return solve(self, x)
+
+        monkeypatch.setattr(PotentialField, "solve", counting)
+        x = fundamental_annulus_sample(13, CASE_C, 5)
+        t_zero_derivative_check(flow_spec_for(CASE_C), x, h_t=1e-4)
+        assert solved == [x.shape]
+
     def test_unflowed_invariant_part_vanishes(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(14, CASE_B, 10)
@@ -283,7 +298,8 @@ class TestSweep:
     def test_zero_row(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(15, CASE_B, 20)
-        rows = positivity_sweep(spec, (0.0, 0.05), x)
+        rows = positivity_sweep(spec, (0.0, 0.05),
+                                PotentialField(spec).potential(x))
         assert rows[0].t == 0.0
         assert abs(rows[0].min_margin) < 1e-12
         assert rows[0].p_min == pytest.approx(1.0, abs=1e-12)
@@ -292,7 +308,8 @@ class TestSweep:
     def test_small_t_margins_positive_and_linear(self, params):
         spec = flow_spec_for(params)
         x = fundamental_annulus_sample(16, params, 30)
-        rows = positivity_sweep(spec, (0.01, 0.02, 0.04), x)
+        rows = positivity_sweep(spec, (0.01, 0.02, 0.04),
+                                PotentialField(spec).potential(x))
         margins = [r.min_margin for r in rows]
         assert all(m > 0 for m in margins)
         # near-linear growth: margin(2t)/margin(t) close to 2
@@ -303,7 +320,8 @@ class TestSweep:
         # margin(t) = sin(4t) / max |z|^2 over the samples, p = cos(4t)
         spec = flow_spec_for(CASE_A)
         x = fundamental_annulus_sample(17, CASE_A, 40)
-        rows = positivity_sweep(spec, (0.1, 0.3), x)
+        rows = positivity_sweep(spec, (0.1, 0.3),
+                                PotentialField(spec).potential(x))
         norm2 = np.sum(x**2, axis=-1)
         for row in rows:
             assert row.min_margin == pytest.approx(
@@ -316,7 +334,8 @@ class TestSweep:
         # sweeps only report, selection is what enforces positivity
         spec = flow_spec_for(CASE_A)
         x = fundamental_annulus_sample(19, CASE_A, 10)
-        rows = positivity_sweep(spec, (0.9,), x)
+        rows = positivity_sweep(spec, (0.9,),
+                                PotentialField(spec).potential(x))
         assert rows[0].min_margin < 0.0
         norm2 = np.sum(x**2, axis=-1)
         assert rows[0].min_margin == pytest.approx(
@@ -325,7 +344,8 @@ class TestSweep:
     def test_select_deformation_time(self):
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(18, CASE_B, 25)
-        state, rows, slope = select_deformation_time(spec, x)
+        state, rows, slope = select_deformation_time(
+            spec, PotentialField(spec).potential(x))
         t_star = state.t
         assert t_star > 0
         assert slope > 0

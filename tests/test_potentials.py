@@ -13,8 +13,6 @@ from biherm.potentials import (
     flow_apply,
     flow_spec_for,
     fundamental_annulus_sample,
-    potential,
-    radial_time,
     verify_h_invariance,
     verify_rescaling,
 )
@@ -58,28 +56,28 @@ class TestFlow:
 
 class TestRadialTime:
     def test_equal_moduli_closed_form(self):
-        r = radial_time(flow_spec_for(CASE_A), np.array([2.0, 0, 0, 0]))
-        assert r.value == pytest.approx(np.log(2) / np.log(0.5), abs=1e-12)
+        r = PotentialField(flow_spec_for(CASE_A)).solve(np.array([2.0, 0, 0, 0]))
+        assert r == pytest.approx(np.log(2) / np.log(0.5), abs=1e-12)
 
     def test_case_b_half_point(self):
-        r = radial_time(flow_spec_for(CASE_B), np.array([0.5, 0, 0, 0]))
-        assert r.value == pytest.approx(1.0, abs=1e-12)
+        r = PotentialField(flow_spec_for(CASE_B)).solve(np.array([0.5, 0, 0, 0]))
+        assert r == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_unit_sphere_has_time_zero(self, params):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((20, 4))
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        r = radial_time(flow_spec_for(params), x)
-        assert np.max(np.abs(r.value)) < 1e-12
+        r = PotentialField(flow_spec_for(params)).solve(x)
+        assert np.max(np.abs(r)) < 1e-12
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_flowed_point_lands_on_sphere(self, params):
         spec = flow_spec_for(params)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 4)) * 1.3
-        r = radial_time(spec, x)
-        back = flow_apply(spec, -r.value, x)
+        r = PotentialField(spec).solve(x)
+        back = flow_apply(spec, -r, x)
         assert np.max(np.abs(np.linalg.norm(back, axis=-1) - 1.0)) < 1e-12
 
     def test_branch_independence(self):
@@ -88,8 +86,8 @@ class TestRadialTime:
         base = flow_spec_for(CASE_B)
         shifted = flow_spec_for(ContractionParams(
             0.5, 0.6, arg_alpha=2 * np.pi, arg_beta=-4 * np.pi))
-        r1 = radial_time(base, x)
-        r2 = radial_time(shifted, x)
+        r1 = PotentialField(base).potential(x).r
+        r2 = PotentialField(shifted).potential(x).r
         assert np.max(np.abs(r1.value - r2.value)) < 1e-12
         assert np.max(np.abs(r1.grad - r2.grad)) < 1e-12
 
@@ -111,14 +109,14 @@ class TestRadialTime:
         params = ContractionParams(0.5, 0.5, lam=120.0, m=1)
         spec = flow_spec_for(params)
         with pytest.raises(AmbiguousRadialTime):
-            radial_time(spec, np.array([[0.72, 0.0, 0.01, 0.0]]))
+            PotentialField(spec).solve(np.array([[0.72, 0.0, 0.01, 0.0]]))
 
 
 class TestPotential:
     def test_equal_moduli_is_norm_squared(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((30, 4)) * 1.2
-        pot = potential(flow_spec_for(CASE_A), x)
+        pot = PotentialField(flow_spec_for(CASE_A)).potential(x)
         norm2 = np.sum(x**2, axis=-1)
         assert np.max(np.abs(pot.f.value - norm2) / norm2) < 1e-12
         assert np.max(np.abs(pot.ddc_f - 4 * KAHLER_STD)) < 1e-11
@@ -127,7 +125,8 @@ class TestPotential:
 
     def test_case_b_values(self):
         spec = flow_spec_for(CASE_B)
-        pot = potential(spec, np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0]]))
+        pot = PotentialField(spec).potential(np.array([[1.0, 0, 0, 0],
+                                                       [0.5, 0, 0, 0]]))
         assert pot.f.value[0] == pytest.approx(1.0, abs=1e-12)
         assert pot.f.value[1] == pytest.approx(0.3, abs=1e-12)
 
@@ -136,22 +135,33 @@ class TestPotential:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((10, 4))
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        pot = potential(flow_spec_for(params), x)
+        pot = PotentialField(flow_spec_for(params)).potential(x)
         assert np.max(np.abs(pot.f.value - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_lck_form_is_one_one_and_positive(self, params):
         samples = fundamental_annulus_sample(11, params, 100)
-        pot = potential(flow_spec_for(params), samples)
+        pot = PotentialField(flow_spec_for(params)).potential(samples)
         assert np.max(np.abs(invariant_part(pot.ddc_f, J_STD) - pot.ddc_f)) < 1e-9
         margin = min_metric_eigenvalue(metric_from_form(pot.lck_form, J_STD))
         assert np.min(margin) > 0.0
+
+    @pytest.mark.parametrize("params", (CASE_B, CASE_C))
+    def test_evaluation_carries_points_and_margin(self, params):
+        spec = flow_spec_for(params)
+        pf = PotentialField(spec)
+        samples = fundamental_annulus_sample(11, params, 40)
+        pot = pf.potential(samples)
+        assert np.array_equal(pot.x, samples)
+        assert np.array_equal(pot.margin, min_metric_eigenvalue(
+            metric_from_form(pot.ddc_f, J_STD)))
+        assert np.array_equal(pf.f_value(samples), pot.f.value)
 
     def test_oversized_shear_not_plurisubharmonic(self):
         params = ContractionParams(0.6, 0.6, lam=100.0, m=1)
         samples = fundamental_annulus_sample(11, ContractionParams(0.6, 0.6, lam=0.1, m=1), 50)
         with pytest.raises(NotPlurisubharmonic, match="lambda"):
-            potential(flow_spec_for(params), samples)
+            PotentialField(flow_spec_for(params)).potential(samples)
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_jets_match_finite_differences(self, params):
@@ -164,10 +174,10 @@ class TestPotential:
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fp = pf.potential(samples + e, check_positive=False).f.value
-            fm = pf.potential(samples - e, check_positive=False).f.value
-            fp2 = pf.potential(samples + e / 2, check_positive=False).f.value
-            fm2 = pf.potential(samples - e / 2, check_positive=False).f.value
+            fp = pf.f_value(samples + e)
+            fm = pf.f_value(samples - e)
+            fp2 = pf.f_value(samples + e / 2)
+            fm2 = pf.f_value(samples - e / 2)
             fd = (4 * (fp2 - fm2) / h - (fp - fm) / (2 * h)) / 3
             rel = np.abs(pot.f.grad[:, i] - fd) / (1 + np.abs(fd))
             assert np.max(rel) < 1e-6
@@ -181,10 +191,10 @@ class TestPotential:
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            gp = pf.potential(samples + e, check_positive=False).f.grad
-            gm = pf.potential(samples - e, check_positive=False).f.grad
-            gp2 = pf.potential(samples + e / 2, check_positive=False).f.grad
-            gm2 = pf.potential(samples - e / 2, check_positive=False).f.grad
+            gp = pf.potential(samples + e).f.grad
+            gm = pf.potential(samples - e).f.grad
+            gp2 = pf.potential(samples + e / 2).f.grad
+            gm2 = pf.potential(samples - e / 2).f.grad
             fd = (4 * (gp2 - gm2) / h - (gp - gm) / (2 * h)) / 3
             rel = np.abs(pot.f.hess[:, :, j] - fd) / (1 + np.abs(fd))
             assert np.max(rel) < 1e-6
@@ -198,28 +208,31 @@ class TestInvariances:
         gamma = ContractionPower(params, 1)
         from biherm.hopf_groups import apply_group_element
 
-        r0 = radial_time(spec, samples).value
-        r1 = radial_time(spec, apply_group_element(gamma, samples)).value
+        pf = PotentialField(spec)
+        r0 = pf.solve(samples)
+        r1 = pf.solve(apply_group_element(gamma, samples))
         assert np.max(np.abs(r1 - r0 - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("params", (CASE_B, CASE_C))
     def test_rescaling(self, params):
         spec = flow_spec_for(params)
         samples = fundamental_annulus_sample(23, params, 100)
-        res = verify_rescaling(spec, ContractionPower(params, 1), samples)
+        res = verify_rescaling(spec, ContractionPower(params, 1),
+                               PotentialField(spec).potential(samples))
         assert np.max(res) < 1e-10
 
     def test_identity_element_detector(self):
         spec = flow_spec_for(CASE_B)
-        samples = fundamental_annulus_sample(23, CASE_B, 50)
-        res = verify_rescaling(spec, ContractionPower(CASE_B, 0), samples)
+        pot = PotentialField(spec).potential(
+            fundamental_annulus_sample(23, CASE_B, 50))
+        res = verify_rescaling(spec, ContractionPower(CASE_B, 0), pot)
         # gamma = id makes the residual exactly |1 - a| (here a = 0.3)
         assert np.allclose(res, 0.0, atol=1e-12)
-        res = verify_h_invariance(spec, [np.eye(2)], samples)
+        res = verify_h_invariance(spec, [np.eye(2)], pot)
         assert np.max(res) < 1e-15
         # rescaling claim against the identity map: residual = |1 - a|
-        bad = np.abs(potential(spec, samples).f.value * spec.multiplier
-                     - potential(spec, samples).f.value) / potential(spec, samples).f.value
+        f = pot.f.value
+        bad = np.abs(f * spec.multiplier - f) / f
         assert np.allclose(bad, abs(1 - spec.multiplier), atol=1e-12)
 
     def test_diagonal_h_invariance_any_order(self):
@@ -227,41 +240,42 @@ class TestInvariances:
         samples = fundamental_annulus_sample(29, CASE_B, 60)
         eps = np.exp(2j * np.pi / 7)
         closure = group_closure([np.diag([eps, 1 / eps])])
-        res = verify_h_invariance(spec, closure, samples)
+        res = verify_h_invariance(spec, closure,
+                                  PotentialField(spec).potential(samples))
         assert np.max(res) < 1e-12
 
     def test_case_a_unitary_invariance(self):
         spec = flow_spec_for(CASE_A_CPLX)
         samples = fundamental_annulus_sample(31, CASE_A_CPLX, 60)
         gens = [np.array([[0, 1], [-1, 0]], dtype=complex), np.diag([1j, -1j])]
-        res = verify_h_invariance(spec, group_closure(gens), samples)
+        res = verify_h_invariance(spec, group_closure(gens),
+                                  PotentialField(spec).potential(samples))
         assert np.max(res) < 1e-12
 
     def test_h_invariance_solves_the_samples_once(self, monkeypatch):
-        from biherm.potentials import RadialSolver
-
         solved = []
-        solve = RadialSolver.solve
+        solve = PotentialField.solve
 
         def counting(self, x):
             solved.append(None)
             return solve(self, x)
 
-        monkeypatch.setattr(RadialSolver, "solve", counting)
+        monkeypatch.setattr(PotentialField, "solve", counting)
         spec = flow_spec_for(CASE_B)
         samples = fundamental_annulus_sample(29, CASE_B, 10)
         closure = group_closure([np.diag([np.exp(2j * np.pi / 3),
                                           np.exp(-2j * np.pi / 3)])])
-        verify_h_invariance(spec, closure, samples)
+        verify_h_invariance(spec, closure, PotentialField(spec).potential(samples))
         assert len(solved) == 1 + len(closure)
 
     def test_shear_invariance_requires_constraint(self):
         spec = flow_spec_for(CASE_C)
-        samples = fundamental_annulus_sample(37, CASE_C, 60)
-        good = verify_h_invariance(spec, group_closure([-np.eye(2)]), samples)
+        pot = PotentialField(spec).potential(
+            fundamental_annulus_sample(37, CASE_C, 60))
+        good = verify_h_invariance(spec, group_closure([-np.eye(2)]), pot)
         assert np.max(good) < 1e-10
         # eps = i has eps^{m+1} = -1 != 1: the detector must fire
-        bad = verify_h_invariance(spec, [np.diag([1j, -1j])], samples)
+        bad = verify_h_invariance(spec, [np.diag([1j, -1j])], pot)
         assert np.max(bad) > 0.05
 
 
@@ -269,7 +283,7 @@ class TestAnnulusSampler:
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_radial_times_in_unit_interval(self, params):
         samples = fundamental_annulus_sample(41, params, 200)
-        r = radial_time(flow_spec_for(params), samples).value
+        r = PotentialField(flow_spec_for(params)).solve(samples)
         assert np.min(r) >= 0.0 and np.max(r) < 1.0
 
     def test_equal_moduli_shell(self):

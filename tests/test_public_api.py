@@ -3,11 +3,16 @@ benchmark wraps."""
 
 import ast
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import biherm
 from biherm import certificate, deformation
+from biherm.hopf_groups import ContractionParams, HopfGroupData
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE = Path(biherm.__file__).resolve().parent
@@ -50,13 +55,19 @@ def test_all_names_resolve():
         assert getattr(biherm, name) is not None, name
 
 
-def test_benchmark_tracer_wraps_every_entry_point(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench/spans.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_wraps_every_entry_point(spans):
     # perfbench/spans.py patches functions and methods by attribute name; a
     # rename or a move of any of them makes install() raise
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
-    spec.loader.exec_module(spans)
     originals = dict(vars(certificate))
     tracer = spans.Tracer()
     tracer.install(certificate, deformation)
@@ -66,3 +77,34 @@ def test_benchmark_tracer_wraps_every_entry_point(monkeypatch):
         tracer.uninstall()
     assert certificate.run_certificate is originals["run_certificate"]
     assert certificate.integrate_flow is originals["integrate_flow"]
+
+
+def test_traced_certificate_counts_every_flow_point(spans, monkeypatch):
+    # the tracer reads the points of a flow from its third positional
+    # argument; each flow span must count the batch the integrator ran, and
+    # tracing must not change the report
+    batches = []
+    flow_states = deformation._flow_states
+
+    def recording(spec, t_values, x, *args):
+        batches.append(math.prod(np.atleast_2d(x).shape[:-1]))
+        return flow_states(spec, t_values, x, *args)
+
+    monkeypatch.setattr(deformation, "_flow_states", recording)
+    cfg = certificate.CertificateConfig(
+        data=HopfGroupData(ContractionParams(0.5, 0.6)), n=2,
+        with_differential=False)
+    plain = certificate.run_certificate(cfg).to_json()
+    batches.clear()
+    tracer = spans.Tracer()
+    tracer.install(certificate, deformation)
+    try:
+        traced = certificate.run_certificate(cfg).to_json()
+    finally:
+        tracer.uninstall()
+    flows = sorted((s for s in tracer.take()
+                    if spans.LAYER_OF.get(s.name) == "flow"),
+                   key=lambda s: s.start)
+    assert len(batches) > 1
+    assert [s.points for s in flows] == batches
+    assert traced == plain
