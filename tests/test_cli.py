@@ -74,6 +74,17 @@ class TestClassifyCommand:
         assert "beta" in capsys.readouterr().err
 
 
+def assert_oversized_shear_refused(tmp_path, capsys, argv):
+    # refused before any flow, with or without a fixed t
+    doc = dict(CASE_C_DOC, **{"lambda": 100.0})
+    code = main([*argv, "--config", write(tmp_path, "c.json", doc),
+                 "--samples", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("analytic refusal:") and err.count("\n") == 1
+    assert "lambda" in err
+
+
 class TestCertifyCommand:
     def test_small_pass(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -92,17 +103,14 @@ class TestCertifyCommand:
                      write(tmp_path, "n.json", NOT_REAL_DOC), "--samples", "4"])
         assert code == 2
 
+    def test_oversized_shear_is_analytic_refusal(self, tmp_path, capsys):
+        assert_oversized_shear_refused(tmp_path, capsys, ["certify"])
+
     @pytest.mark.parametrize("argv", [
-        ["certify"], ["sweep"], ["construct"], ["construct", "--t", "0.2"]])
-    def test_oversized_shear_is_analytic_refusal(self, tmp_path, capsys, argv):
-        # refused before any flow, with or without a fixed t
-        doc = dict(CASE_C_DOC, **{"lambda": 100.0})
-        code = main([*argv, "--config", write(tmp_path, "c.json", doc),
-                     "--samples", "4"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("analytic refusal:") and err.count("\n") == 1
-        assert "lambda" in err
+        ["sweep"], ["construct"], ["construct", "--t", "0.2"]])
+    def test_oversized_shear_refused_by_other_commands(self, tmp_path, capsys,
+                                                       argv):
+        assert_oversized_shear_refused(tmp_path, capsys, argv)
 
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
