@@ -25,10 +25,12 @@ from .deformation import positivity_sweep, quotient_triple
 from .errors import (
     AmbiguousRadialTime,
     ConstraintViolation,
+    DegenerateForm,
     GroupDataError,
     NotFinite,
     NotPlurisubharmonic,
     NotPositive,
+    SingularMetric,
     StepSizeUnderflow,
 )
 from .hopf_groups import classify, group_data_from_json
@@ -94,6 +96,17 @@ def _finite_positive(flag: str, value) -> float:
     return number
 
 
+def _stencil_step(flag: str, value) -> float:
+    """A finite positive fd_step whose half step moves a coordinate of size
+    max(1, |x|).  stencil_step scales it by that size, so the test does not
+    depend on the samples."""
+    step = _finite_positive(flag, value)
+    if 1.0 + step / 2.0 == 1.0:
+        raise GroupDataError(f"{flag} {value!r} is too small to move a "
+                             "stencil point off its base point")
+    return step
+
+
 def _at_least_one(flag: str, value: int) -> int:
     if value < 1:
         raise GroupDataError(f"{flag} must be at least 1, got {value}")
@@ -131,7 +144,7 @@ def _certificate_config(args) -> CertificateConfig:
         n=_at_least_one("--samples", args.samples),
         seed=args.seed,
         ode_tol=_finite_positive("--ode-tol", args.ode_tol),
-        fd_step=_finite_positive("--fd-step", args.fd_step),
+        fd_step=_stencil_step("--fd-step", args.fd_step),
         tolerances=_tol_overrides(args.tol_tier),
         threads=env_threads(args.threads),
     )
@@ -276,7 +289,8 @@ def main(argv=None) -> int:
     except (NotPlurisubharmonic, NotPositive) as exc:
         print(f"analytic refusal: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC
-    except (AmbiguousRadialTime, StepSizeUnderflow) as exc:
+    except (AmbiguousRadialTime, DegenerateForm, SingularMetric,
+            StepSizeUnderflow) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -271,40 +271,90 @@ def stencil_step(x: np.ndarray, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
 
 
 class StencilCloud:
-    """Richardson stencil (+-h, +-h/2 in each direction) around base points."""
+    """Richardson stencil around base points: +-h and +-h/2 along each axis
+    and, with ``mixed``, the corners (+-h, +-h) and (+-h/2, +-h/2) of each
+    coordinate plane.
+
+    Each derivative is a central difference at steps h and h/2 (weights as
+    in Fornberg 1988, *Generation of finite difference formulas on
+    arbitrarily spaced grids*) extrapolated to O(h^4).
+    """
 
     _OFFSETS = (1.0, -1.0, 0.5, -0.5)
+    _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    _PAIRS = tuple(itertools.combinations(range(4), 2))
+    # rows of one base point's cloud: the axial points by (direction,
+    # offset), then the corners by (plane, step h or h/2, corner)
+    _AXIAL = np.arange(16).reshape(4, 4)
+    _CORNER_ROWS = 16 + np.arange(48).reshape(6, 2, 4)
 
-    def __init__(self, x: np.ndarray, h: np.ndarray):
+    def __init__(self, x: np.ndarray, h: np.ndarray, mixed: bool = False):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        disp = np.zeros((4, 4, 4))
+        disp = np.zeros((64 if mixed else 16, 4))
         for d in range(4):
             for o, s in enumerate(self._OFFSETS):
-                disp[d, o, d] = s
+                disp[self._AXIAL[d, o], d] = s
+        if mixed:
+            for p, plane in enumerate(self._PAIRS):
+                for k, scale in enumerate((1.0, 0.5)):
+                    rows = self._CORNER_ROWS[p, k][:, None]
+                    disp[rows, plane] = scale * self._CORNERS
         self.base_shape = x.shape[:-1]
         self.h = h
-        pts = x[..., None, None, :] + h[..., None, None, None] * disp
+        self._rows = disp.shape[0]
+        pts = x[..., None, :] + h[..., None, None] * disp
         self.points = pts.reshape(-1, 4)
+
+    def _at(self, values: np.ndarray, rows) -> np.ndarray:
+        """Entries of values (evaluated at self.points) at the given rows of
+        each base point's cloud, on an axis after the batch axes."""
+        v = values.reshape(self.base_shape + (self._rows,) + values.shape[1:])
+        return np.take(v, rows, axis=len(self.base_shape))
+
+    def _step(self, values: np.ndarray) -> np.ndarray:
+        """h shaped to broadcast against the arrays that _at returns."""
+        return self.h.reshape(self.base_shape + (1,) * values.ndim)
 
     def partials(self, values: np.ndarray) -> np.ndarray:
         """values evaluated at self.points -> derivative array with the
         direction axis inserted after the batch axes (O(h^4))."""
-        rest = values.shape[1:]
-        v = values.reshape(self.base_shape + (4, 4) + rest)
-        axis = len(self.base_shape) + 1  # the offsets axis
-        v0, v1, v2, v3 = (np.take(v, o, axis=axis) for o in range(4))
-        h = self.h.reshape(self.base_shape + (1,) * (1 + len(rest)))
+        v0, v1, v2, v3 = (self._at(values, self._AXIAL[:, o]) for o in range(4))
+        h = self._step(values)
         d1 = (v0 - v1) / (2.0 * h)
         d2 = (v2 - v3) / h
         return (4.0 * d2 - d1) / 3.0
 
+    def second_partials(self, values: np.ndarray,
+                        center: np.ndarray) -> np.ndarray:
+        """values evaluated at the points of a ``mixed`` cloud, and center
+        at its base points -> symmetric array of second derivatives with two
+        direction axes inserted after the batch axes (O(h^4))."""
+        nb = len(self.base_shape)
+        h2 = self._step(values) ** 2
+        c2 = 2.0 * np.expand_dims(center, nb)
+        v0, v1, v2, v3 = (self._at(values, self._AXIAL[:, o]) for o in range(4))
+        diag_h = (v0 + v1 - c2) / h2
+        diag_half = 4.0 * (v2 + v3 - c2) / h2
+
+        def corners(k):  # f(++) - f(+-) - f(-+) + f(--) at step k
+            pp, pm, mp, mm = (self._at(values, self._CORNER_ROWS[:, k, c])
+                              for c in range(4))
+            return pp - pm - mp + mm
+
+        mixed_h = corners(0) / (4.0 * h2)
+        mixed_half = corners(1) / h2
+        out = np.empty(self.base_shape + (4, 4) + values.shape[1:],
+                       dtype=diag_h.dtype)
+        lead = (slice(None),) * nb
+        i, j = np.array(self._PAIRS).T
+        out[lead + (np.arange(4),) * 2] = (4.0 * diag_half - diag_h) / 3.0
+        out[lead + (i, j)] = out[lead + (j, i)] = (4.0 * mixed_half - mixed_h) / 3.0
+        return out
+
     def d_two_form(self, values: np.ndarray) -> np.ndarray:
         """Exterior derivative of a 2-form field as sorted-triple comps."""
-        p = self.partials(values)  # (..., d, i, j)
-        comps = [p[..., i, j, k] - p[..., j, i, k] + p[..., k, i, j]
-                 for (i, j, k) in TRIPLES]
-        return np.stack(comps, axis=-1)
+        return d_two_form_from_partials(self.partials(values))
 
     def d_one_form(self, values: np.ndarray) -> np.ndarray:
         """Exterior derivative of a 1-form field as a 2-form."""
@@ -316,6 +366,28 @@ class StencilCloud:
         coefficient on the volume form)."""
         p = self.partials(comps)  # (..., d, triple)
         return p[..., 0, 3] - p[..., 1, 2] + p[..., 2, 1] - p[..., 3, 0]
+
+
+def d_two_form_from_partials(p: np.ndarray) -> np.ndarray:
+    """Exterior derivative of a 2-form B from its partials p[..., d, i, j] =
+    d_d B_ij, as sorted-triple components."""
+    comps = [p[..., i, j, k] - p[..., j, i, k] + p[..., k, i, j]
+             for (i, j, k) in TRIPLES]
+    return np.stack(comps, axis=-1)
+
+
+def codifferential_one(g: np.ndarray, dg: np.ndarray, a: np.ndarray,
+                       da: np.ndarray) -> np.ndarray:
+    """delta a = -*d*a = -(1/sqrt det g) d_i(sqrt det g g^{ij} a_j) of a
+    1-form from its value and partials da[..., i, j] = d_i a_j and those of
+    the metric, dg[..., i, k, l] = d_i g_kl."""
+    ginv, _ = _metric_inverse_and_volume(g)
+    a_up = np.einsum("...ij,...j->...i", ginv, a)
+    dlog_vol = 0.5 * np.einsum("...kl,...ilk->...i", ginv, dg)
+    div = (np.einsum("...i,...i->...", dlog_vol, a_up)
+           - np.einsum("...ik,...ikl,...l->...", ginv, dg, a_up)
+           + np.einsum("...ij,...ij->...", ginv, da))
+    return -div
 
 
 def nijenhuis_from_partials(j: np.ndarray, dj: np.ndarray) -> np.ndarray:

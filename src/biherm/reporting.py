@@ -25,21 +25,34 @@ class ResidualStats:
     mean: float
     q95: float
     count: int
+    non_finite: int = 0
+
+    def within(self, tier: float) -> bool:
+        """Every residual finite and below tier."""
+        return self.non_finite == 0 and self.max < tier
 
     def to_json(self) -> dict:
-        return {"max": self.max, "mean": self.mean, "q95": self.q95,
-                "count": self.count}
+        out = {"max": self.max, "mean": self.mean, "q95": self.q95,
+               "count": self.count}
+        if self.non_finite:
+            out["non_finite"] = self.non_finite
+        return out
 
 
 def residual_stats(values: np.ndarray) -> ResidualStats:
+    """Statistics over the finite residuals; ``count`` is every residual
+    and ``non_finite`` the ones left out (each fails the family)."""
     values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        return ResidualStats(0.0, 0.0, 0.0, 0)
+    finite = values[np.isfinite(values)]
+    non_finite = values.size - finite.size
+    if finite.size == 0:
+        return ResidualStats(0.0, 0.0, 0.0, int(values.size), non_finite)
     return ResidualStats(
-        max=float(np.max(values)),
-        mean=float(np.mean(values)),
-        q95=float(np.quantile(values, 0.95)),
+        max=float(np.max(finite)),
+        mean=float(np.mean(finite)),
+        q95=float(np.quantile(finite, 0.95)),
         count=int(values.size),
+        non_finite=non_finite,
     )
 
 

@@ -1,5 +1,7 @@
 """Assembly of the bihermitian structure and the identity batteries."""
 
+import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from biherm.certificate import (
     check_gamma_equivariance,
     check_integrability,
     check_pointwise_algebra,
+    lee_differentials,
     lee_theta_from_cloud,
     run_certificate,
 )
@@ -23,8 +26,10 @@ from biherm.exterior import (
     J_STD,
     KAHLER_STD,
     StencilCloud,
+    hodge_star_one,
     solve_lee_form,
     stencil_step,
+    three_from_dense,
 )
 from biherm.hopf_groups import (
     ContractionParams,
@@ -41,6 +46,7 @@ from biherm.potentials import (
 CASE_A = ContractionParams(0.5, 0.5)
 CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
+SHEAR_M2 = ContractionParams(0.36, 0.6, lam=0.05, m=2)
 EPS3 = np.exp(2j * np.pi / 3)
 
 
@@ -90,6 +96,22 @@ class TestAssembly:
         # on the quotient construction theta_+ + theta_- = 2 tau
         total = theta_plus + theta_minus
         assert np.max(np.abs(total - 2.0 * sample.tau)) < 1e-5
+
+
+def nested_lee_differentials(field, center, outer_scale=10.0):
+    """Reference route to (delta theta_+, delta theta_-, d(theta_+ +
+    theta_-)): theta_pm from a Richardson cloud around every point of an
+    outer Richardson cloud (step outer_scale * fd_step), then one more
+    finite-difference layer on theta_pm.  288 flow points per sample."""
+    outer = StencilCloud(center.x,
+                         stencil_step(center.x, outer_scale * field.fd_step))
+    so = field.assemble(outer.points)
+    inner = StencilCloud(outer.points, stencil_step(outer.points, field.fd_step))
+    thetas = lee_theta_from_cloud(so, inner, field.assemble(inner.points))
+    vol = np.sqrt(np.linalg.det(center.g))
+    deltas = [-outer.d_three_form(three_from_dense(hodge_star_one(so.g, theta)))
+              / vol for theta in thetas]
+    return deltas[0], deltas[1], outer.d_one_form(thetas[0] + thetas[1])
 
 
 class TestPointwiseBattery:
@@ -162,17 +184,29 @@ class TestLeeForms:
         def data_at(points):
             scale = np.exp(phi(points))[..., None, None]
             return SimpleNamespace(
+                x=points,
                 g=scale * np.eye(4),
                 f_plus=scale * KAHLER_STD,
                 f_minus=scale * KAHLER_STD,
                 j_minus=np.broadcast_to(J_STD, points.shape[:-1] + (4, 4)),
             )
 
-        theta_plus, theta_minus = lee_theta_from_cloud(
-            data_at(x), cloud, data_at(cloud.points))
+        center, sc = data_at(x), data_at(cloud.points)
+        theta_plus, theta_minus = lee_theta_from_cloud(center, cloud, sc)
         expected = dphi(x)
         assert np.max(np.abs(theta_plus - expected)) < 1e-7
         assert np.max(np.abs(theta_minus - expected)) < 1e-7
+
+        # second layer: delta theta = -e^-phi (laplacian phi + |d phi|^2),
+        # and d theta = dd phi = 0
+        field = SimpleNamespace(fd_step=1e-3, assemble=data_at)
+        delta_plus, delta_minus, d_sum = lee_differentials(
+            field, center, ((theta_plus, theta_minus), cloud, sc))
+        laplacian = -0.6 * np.sin(x[..., 0]) * np.cos(x[..., 3])
+        expected = -np.exp(-phi(x)) * (laplacian + np.sum(dphi(x)**2, axis=-1))
+        assert np.max(np.abs(delta_plus - expected)) < 1e-6
+        assert np.max(np.abs(delta_minus - expected)) < 1e-6
+        assert np.max(np.abs(d_sum)) < 1e-6
 
     def test_dual_route_agreement_on_pipeline(self):
         # theta from J(delta F) must agree with the wedge-solve of
@@ -233,9 +267,43 @@ class TestDifferentialBattery:
             "nijenhuis_j_minus": 1e-5,
             "lee_scalar": 1e-3,
             "lee_sum_selfdual": 1e-4,
+            "lee_sum_closed": 1e-4,
+            "lee_sum_tau": 1e-6,
         }
         for name, tier in tiers.items():
             assert np.max(res[name]) < tier, (name, np.max(res[name]))
+
+    @pytest.mark.parametrize("params", [CASE_A, CASE_B, CASE_C, SHEAR_M2])
+    def test_second_order_stencil_matches_nested_route(self, params):
+        spec = flow_spec_for(params)
+        field = StructureField(spec, 0.3)
+        center = field.assemble(fundamental_annulus_sample(12, params, 6))
+        new = lee_differentials(field, center, field.lee_forms(center))
+        reference = nested_lee_differentials(field, center)
+        for name, a, b in zip(("delta_plus", "delta_minus", "d_sum"),
+                              new, reference):
+            gap = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
+            assert gap < 1e-5, (name, gap)
+
+    def test_flow_points_per_sample(self, monkeypatch):
+        # 16 for the first partials and 64 for the second partials; the
+        # nested route integrated 16 + 16 + 16 * 16 = 288
+        import biherm.deformation
+
+        spec = flow_spec_for(CASE_B)
+        field = StructureField(spec, 0.3)
+        n = 3
+        center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
+        points = []
+        flow_states = biherm.deformation._flow_states
+
+        def counting(spec, t_values, x, *args):
+            points.append(math.prod(np.atleast_2d(x).shape[:-1]))
+            return flow_states(spec, t_values, x, *args)
+
+        monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
+        check_differential_identities(field, center)
+        assert sum(points) / n <= 80
 
 
 class TestIntegrabilityDetector:
@@ -405,6 +473,26 @@ class TestRunCertificate:
         monkeypatch.setattr(PotentialField, "solve", counting)
         assert run_certificate(cfg).passed
         assert len(drawn) == 1 and sum(of_samples) == 1
+
+    def test_non_finite_residual_fails_its_family(self, monkeypatch):
+        # a degenerate metric makes the selfduality residuals infinite; the
+        # report must still serialize, and those families must fail
+        pointwise = biherm.certificate.check_pointwise_algebra
+
+        def degenerate(s):
+            return pointwise(replace(s, g=np.zeros_like(s.g)))
+
+        monkeypatch.setattr(biherm.certificate, "check_pointwise_algebra",
+                            degenerate)
+        report = run_certificate(CertificateConfig(
+            data=HopfGroupData(CASE_B), t=0.2, n=3, with_differential=False))
+        families = json.loads(report.to_json())["identities"]
+        assert not report.passed
+        assert families["selfdual_phi"]["non_finite"] == 3
+        assert families["selfdual_phi"]["count"] == 3
+        assert families["selfdual_phi"]["pass"] is False
+        assert "non_finite" not in families["anticommutator"]
+        assert families["anticommutator"]["pass"] is True
 
     def test_family_on_no_sample_fails_the_pass(self, monkeypatch):
         # a family evaluated on no sample sits at tier vacuously (max 0) and

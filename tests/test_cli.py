@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biherm.cli
 from biherm.certificate import DEFAULT_TOLERANCES
 from biherm.cli import main
+from biherm.errors import DegenerateForm, SingularMetric
 
 ROOT3 = float(np.sqrt(3) / 2)
 
@@ -145,6 +147,7 @@ class TestCertifyCommand:
         ["--t-grid", "0:inf:0.1"],
         ["--t-grid", "0:1:1e-300"],
         ["--t-grid", "0:1e308:1e-10"],
+        ["--fd-step", "1e-200"],  # no stencil point leaves its base point
     ])
     def test_bad_numbers_are_parse_errors(self, tmp_path, capsys, argv):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -152,6 +155,20 @@ class TestCertifyCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("error", [DegenerateForm, SingularMetric])
+    def test_degenerate_linear_algebra_is_numerical_failure(
+            self, tmp_path, capsys, monkeypatch, error):
+        def raising(cfg):
+            raise error("synthetic")
+
+        monkeypatch.setattr(biherm.cli, "run_certificate", raising)
+        code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
+                     "--samples", "2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "numerical failure: synthetic\n"
 
 
 class TestSweepCommand:

@@ -290,6 +290,45 @@ class TestExteriorDerivative:
         assert np.max(np.abs(dd)) < 1e-6
 
 
+class TestSecondPartials:
+    def test_quartic_hessian_is_exact(self):
+        # Richardson over h and h/2 cancels the h^2 term, and a quartic has
+        # no higher one: the second partials are exact up to roundoff
+        rng = np.random.default_rng(13)
+        coef = rng.standard_normal((4, 4, 4, 4))
+        quad = rng.standard_normal((4, 4))
+        sym4 = sum(np.transpose(coef, perm)
+                   for perm in itertools.permutations(range(4))) / 24.0
+        quad = quad + quad.T
+
+        def field(x):  # two components: the quartic and its quadratic part
+            q = np.einsum("...i,...j,ij->...", x, x, quad)
+            return np.stack([np.einsum("...i,...j,...k,...l,ijkl->...",
+                                       x, x, x, x, coef) + q, q], axis=-1)
+
+        x = rng.standard_normal((3, 2, 4)) * 0.5
+        cloud = StencilCloud(x, np.full((3, 2), 0.1), mixed=True)
+        assert cloud.points.shape == (3 * 2 * 64, 4)
+        hess = cloud.second_partials(field(cloud.points), field(x))
+        exact = 12.0 * np.einsum("...k,...l,ijkl->...ij", x, x, sym4) + 2.0 * quad
+        assert hess.shape == (3, 2, 4, 4, 2)
+        assert np.max(np.abs(hess[..., 0] - exact)) < 1e-8
+        assert np.max(np.abs(hess[..., 1] - 2.0 * quad)) < 1e-8
+
+    def test_axial_points_lead_the_mixed_cloud(self):
+        # partials read the 16 axial points whichever cloud they come from
+        x = np.array([[0.3, -0.2, 0.5, 0.1]])
+        plain = StencilCloud(x, np.array([1e-2]))
+        mixed = StencilCloud(x, np.array([1e-2]), mixed=True)
+        assert np.array_equal(mixed.points[:16], plain.points)
+
+        def field(p):
+            return np.sin(p @ np.array([1.0, 2.0, -1.0, 0.5]))
+
+        assert np.array_equal(mixed.partials(field(mixed.points)),
+                              plain.partials(field(plain.points)))
+
+
 class TestSolveLeeForm:
     def test_reconstructs_wedge_factor(self):
         rng = np.random.default_rng(12)

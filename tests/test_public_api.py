@@ -81,8 +81,9 @@ def test_benchmark_tracer_wraps_every_entry_point(spans):
 
 def test_traced_certificate_counts_every_flow_point(spans, monkeypatch):
     # the tracer reads the points of a flow from its third positional
-    # argument; each flow span must count the batch the integrator ran, and
-    # tracing must not change the report
+    # argument; each flow span must count the batch the integrator ran, the
+    # FD layers must show as their spans, and tracing must not change the
+    # report
     batches = []
     flow_states = deformation._flow_states
 
@@ -91,20 +92,25 @@ def test_traced_certificate_counts_every_flow_point(spans, monkeypatch):
         return flow_states(spec, t_values, x, *args)
 
     monkeypatch.setattr(deformation, "_flow_states", recording)
-    cfg = certificate.CertificateConfig(
-        data=HopfGroupData(ContractionParams(0.5, 0.6)), n=2,
-        with_differential=False)
-    plain = certificate.run_certificate(cfg).to_json()
-    batches.clear()
-    tracer = spans.Tracer()
-    tracer.install(certificate, deformation)
-    try:
-        traced = certificate.run_certificate(cfg).to_json()
-    finally:
-        tracer.uninstall()
-    flows = sorted((s for s in tracer.take()
-                    if spans.LAYER_OF.get(s.name) == "flow"),
-                   key=lambda s: s.start)
-    assert len(batches) > 1
-    assert [s.points for s in flows] == batches
-    assert traced == plain
+    for with_differential in (False, True):
+        cfg = certificate.CertificateConfig(
+            data=HopfGroupData(ContractionParams(0.5, 0.6)), n=2,
+            with_differential=with_differential)
+        plain = certificate.run_certificate(cfg).to_json()
+        batches.clear()
+        tracer = spans.Tracer()
+        tracer.install(certificate, deformation)
+        try:
+            traced = certificate.run_certificate(cfg).to_json()
+        finally:
+            tracer.uninstall()
+        taken = tracer.take()
+        flows = sorted((s for s in taken
+                        if spans.LAYER_OF.get(s.name) == "flow"),
+                       key=lambda s: s.start)
+        assert len(batches) > 1
+        assert [s.points for s in flows] == batches
+        names = {s.name for s in taken}
+        for fd_span in ("lee_forms", "check_differential_identities"):
+            assert (fd_span in names) == with_differential, fd_span
+        assert traced == plain
