@@ -13,9 +13,10 @@ is assembled as:
 
 Pointwise identities are then algebraic consequences and must hold at the
 linear-solve tier (1e-9); identities involving derivatives are checked by
-Richardson finite differences of the whole pipeline: first partials on one
-cloud at fd_step, second partials (for the partials of the Lee forms) on
-one wider cloud with mixed corners.  Tiers grow with the derivative order
+Richardson finite differences of the whole pipeline on one stencil cloud
+per sample with mixed corners, at STENCIL_SCALE * fd_step: its axial rows
+give every first partial, its corners the second partials that the partials
+of the Lee forms need.  Tiers grow with the derivative order
 (1e-6 for first derivatives, 1e-5..1e-4 for products of them and for
 d(theta_+ + theta_-), 1e-3 for the Lee scalar identity).  Lee forms use
 theta = J(delta F) with delta = -*d* throughout.
@@ -197,21 +198,42 @@ def assemble_from_triple(triple: QuotientTriple,
     )
 
 
-def lee_theta_from_cloud(center, cloud: StencilCloud, sc):
-    """(theta_plus, theta_minus) = J_pm(delta^g F_pm) with delta = -*d*.
+#: Step of the one stencil cloud, as a multiple of fd_step.  Its second
+#: partials err by O(H^4) truncation plus roundoff over H^2.  Over cases a,
+#: b, c and the m = 2 shear at t = 0.15, 0.3 and 0.45 (32 samples each) the
+#: worst derivative family is lee_sum_tau at 0.017 of its tier at 3x (the
+#: shear at t = 0.45); second partials at 10x failed lee_sum_closed there at
+#: 3.4x its tier, and at 2x roundoff grows on cases a, b and c.
+STENCIL_SCALE = 3.0
 
-    ``center`` needs attributes g and j_minus at the base points; ``sc``
-    needs g, f_plus, f_minus at the cloud points.  Synthetic fields in the
-    tests drive this directly.
-    """
-    out = []
-    for which in ("f_plus", "f_minus"):
-        star_f = hodge_star(sc.g, getattr(sc, which))
-        comps = cloud.d_two_form(star_f)
-        delta = -hodge_star_three(center.g, dense_from_three(comps))
-        j = J_STD if which == "f_plus" else center.j_minus
-        out.append(j_act_oneform(j, delta))
-    return tuple(out)
+
+@dataclass(frozen=True)
+class LeeForms:
+    """theta_pm = J_pm(delta F_pm) = J_pm^T u_pm with u_pm = *d*F_pm at the
+    base points, with *F_pm (``star``), the structure (``sc``) and the
+    partials of g and j_minus (``dg``, ``dj``) on the cloud they came from."""
+
+    theta_plus: np.ndarray
+    theta_minus: np.ndarray
+    u: list
+    star: list
+    cloud: StencilCloud
+    sc: object
+    dg: np.ndarray
+    dj: np.ndarray
+
+
+def lee_theta_from_cloud(center, cloud: StencilCloud, sc) -> LeeForms:
+    """Lee forms from ``center`` (g, j_minus at the base points) and ``sc``
+    (g, j_minus, f_plus, f_minus at the cloud points); synthetic fields in
+    the tests drive this directly."""
+    star = [hodge_star(sc.g, f) for f in (sc.f_plus, sc.f_minus)]
+    u = [hodge_star_three(center.g, dense_from_three(cloud.d_two_form(s)))
+         for s in star]
+    theta_plus, theta_minus = (j_act_oneform(j, -v)
+                               for j, v in zip((J_STD, center.j_minus), u))
+    return LeeForms(theta_plus, theta_minus, u, star, cloud, sc,
+                    cloud.partials(sc.g), cloud.partials(sc.j_minus))
 
 
 class StructureField:
@@ -232,30 +254,26 @@ class StructureField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _assemble_chunk(self, x: np.ndarray) -> BihermitianSample:
-        state = integrate_flow(self.spec, self.t, x, self.ode_tol)
-        triple = quotient_triple(self.spec, state)
-        return assemble_from_triple(triple, state)
-
     def assemble(self, x: np.ndarray) -> BihermitianSample:
         """Assembled structure at x (batched, chunked, thread-mapped)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-
         def run(chunk):
-            s = self._assemble_chunk(chunk)
+            state = integrate_flow(self.spec, self.t, chunk, self.ode_tol)
+            s = assemble_from_triple(quotient_triple(self.spec, state), state)
             return {f.name: getattr(s, f.name) for f in fields(s) if f.name != "t"}
 
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         return BihermitianSample(t=self.t, **chunked_map(run, x, threads=self.threads))
 
     # -- Lee forms -------------------------------------------------------------
 
-    def lee_forms(self, center: BihermitianSample):
-        """(theta_plus, theta_minus) at the points of an assembled sample via
-        one finite-difference layer, with the stencil cloud and the
-        structure assembled on it."""
-        cloud = StencilCloud(center.x, stencil_step(center.x, self.fd_step))
-        sc = self.assemble(cloud.points)
-        return lee_theta_from_cloud(center, cloud, sc), cloud, sc
+    def lee_forms(self, center: BihermitianSample) -> LeeForms:
+        """Lee forms at the points of an assembled sample, from the structure
+        assembled on one mixed stencil cloud (step STENCIL_SCALE * fd_step)
+        whose rows also feed every other derivative family."""
+        cloud = StencilCloud(center.x,
+                             stencil_step(center.x, STENCIL_SCALE * self.fd_step),
+                             mixed=True)
+        return lee_theta_from_cloud(center, cloud, self.assemble(cloud.points))
 
 
 # ---------------------------------------------------------------------------
@@ -321,52 +339,32 @@ def check_pointwise_algebra(s: BihermitianSample) -> dict[str, np.ndarray]:
     return out
 
 
-#: Step of the wide cloud that feeds the second partials, as a multiple of
-#: fd_step.  Their error is O(H^4) truncation plus roundoff over H^2.  Over
-#: cases a, b, c and the m = 2 shear at t = 0.15, 0.3 and 0.45 (32 samples
-#: each) the worst Lee-family residual is 0.024 of its tier at 3x and 3.4 at
-#: 10x (the shear at t = 0.45); at 2x roundoff grows on cases a, b and c.
-OUTER_SCALE = 3.0
-
-
-def lee_differentials(field, center, lee):
+def lee_differentials(center, lee: LeeForms):
     """(delta theta_+, delta theta_-, d(theta_+ + theta_-)) at the base points.
 
-    ``lee`` is ``field.lee_forms(center)``.  theta = J^T u with u = *d*F
-    (so delta F = -u) is algebra in g, J and the first partials of *F; its
-    partials are the exact linearisation of that algebra, fed by the first
-    partials of g, j_minus and *F on the cloud of ``lee`` and the second
-    partials of *F on one wide mixed cloud (step OUTER_SCALE * fd_step).
-    ``field`` needs ``assemble`` and ``fd_step``; ``center`` and the
-    assembled values need x, g, j_minus, f_plus and f_minus.
+    ``lee`` is ``field.lee_forms(center)``.  theta = J^T u with u = *d*F is
+    algebra in g, J and the first partials of *F; its partials are the exact
+    linearisation of that algebra, fed by the first partials of g, j_minus
+    and *F and the second partials of *F, all from the mixed cloud of
+    ``lee``.  ``center`` needs g, j_minus, f_plus and f_minus.
     """
-    (theta_plus, theta_minus), cloud, sc = lee
-    wide = StencilCloud(center.x,
-                        stencil_step(center.x, OUTER_SCALE * field.fd_step),
-                        mixed=True)
-    sw = field.assemble(wide.points)
-    dg = cloud.partials(sc.g)
     ginv = np.linalg.inv(center.g)
-    dlog_vol = 0.5 * np.einsum("...ab,...mba->...m", ginv, dg)
+    dlog_vol = 0.5 * np.einsum("...ab,...mba->...m", ginv, lee.dg)
     dthetas = []
-    for which, j, dj in (("f_plus", J_STD, None),
-                         ("f_minus", center.j_minus, cloud.partials(sc.j_minus))):
-        star_base, star_cloud, star_wide = (hodge_star(s.g, getattr(s, which))
-                                            for s in (center, sc, sw))
-        u = hodge_star_three(center.g,
-                             dense_from_three(cloud.d_two_form(star_cloud)))
+    for f, j, u, star in zip((center.f_plus, center.f_minus),
+                             (J_STD, center.j_minus), lee.u, lee.star):
         # d_m u, from *d*F = g w / sqrt(det g) with w linear in d*F
-        dc = d_two_form_from_partials(wide.second_partials(star_wide, star_base))
-        du = (np.einsum("...mab,...bc,...c->...ma", dg, ginv, u)
-              + hodge_star_three(center.g[..., None, :, :], dense_from_three(dc))
+        d2 = lee.cloud.second_partials(star, hodge_star(center.g, f))
+        du = (np.einsum("...mab,...bc,...c->...ma", lee.dg, ginv, u)
+              + hodge_star_three(center.g[..., None, :, :],
+                                 dense_from_three(d_two_form_from_partials(d2)))
               - dlog_vol[..., None] * u[..., None, :])
-        dtheta = np.einsum("...ki,...mk->...mi", j, du)
-        if dj is not None:
-            dtheta = dtheta + np.einsum("...mki,...k->...mi", dj, u)
-        dthetas.append(dtheta)
+        dthetas.append(np.einsum("...ki,...mk->...mi", j, du))
+    # theta_- = j_minus^T u_- also varies through j_minus (J_STD is constant)
+    dthetas[1] = dthetas[1] + np.einsum("...mki,...k->...mi", lee.dj, lee.u[1])
     d_sum = dthetas[0] + dthetas[1]
-    return (codifferential_one(center.g, dg, theta_plus, dthetas[0]),
-            codifferential_one(center.g, dg, theta_minus, dthetas[1]),
+    return (codifferential_one(center.g, lee.dg, lee.theta_plus, dthetas[0]),
+            codifferential_one(center.g, lee.dg, lee.theta_minus, dthetas[1]),
             d_sum - np.swapaxes(d_sum, -1, -2))
 
 
@@ -374,16 +372,18 @@ def check_differential_identities(field: StructureField,
                                   center: BihermitianSample) -> dict[str, np.ndarray]:
     """Residuals of every identity that involves derivatives of the fields.
 
-    One shared Richardson cloud feeds the first-derivative families (Leibniz
-    rules of the quotient forms, the canonical-factor equation, the (1,2)
-    component, the Nijenhuis tensor, theta_+ + theta_- = 2 tau).  The
-    Lee-form scalar identity, the selfdual part of d(theta_+ + theta_-) and
-    its closedness need partials of theta_pm: they add one wide cloud with
-    mixed corners for the second partials of *F_pm (``lee_differentials``).
-    ``center`` is the structure already assembled at the base points.
+    The structure is assembled once, on the mixed cloud of
+    ``field.lee_forms``.  Its axial rows feed the first-derivative families
+    (Leibniz rules of the quotient forms, the canonical-factor equation, the
+    (1,2) component, the Nijenhuis tensor, theta_+ + theta_- = 2 tau); its
+    corners add the second partials of *F_pm that the partials of theta_pm
+    need (``lee_differentials``) for the Lee-form scalar identity, the
+    selfdual part of d(theta_+ + theta_-) and its closedness.  ``center`` is
+    the structure already assembled at the base points.
     """
     lee = field.lee_forms(center)
-    (theta_plus, theta_minus), cloud, sc = lee
+    cloud, sc = lee.cloud, lee.sc
+    theta_plus, theta_minus = lee.theta_plus, lee.theta_minus
     out: dict[str, np.ndarray] = {}
 
     # quotient Leibniz rules d(form) = tau ^ form
@@ -418,8 +418,7 @@ def check_differential_identities(field: StructureField,
     out["type_one_two_part"] = num / (1.0 + den)
 
     # integrability of j_minus
-    dj = cloud.partials(sc.j_minus)
-    n_tensor = nijenhuis_from_partials(center.j_minus, dj)
+    n_tensor = nijenhuis_from_partials(center.j_minus, lee.dj)
     out["nijenhuis_j_minus"] = np.max(np.abs(n_tensor), axis=(-3, -2, -1))
 
     # theta_+ + theta_- = 2 tau, with no second derivative
@@ -427,7 +426,7 @@ def check_differential_identities(field: StructureField,
     out["lee_sum_tau"] = (np.max(np.abs(gap), axis=-1)
                           / (1.0 + np.max(np.abs(2.0 * center.tau), axis=-1)))
 
-    delta_plus, delta_minus, d_theta_sum = lee_differentials(field, center, lee)
+    delta_plus, delta_minus, d_theta_sum = lee_differentials(center, lee)
     lhs = 2.0 * delta_plus + norm_sq_oneform(center.g, theta_plus)
     rhs = 2.0 * delta_minus + norm_sq_oneform(center.g, theta_minus)
     out["lee_scalar"] = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs),
@@ -440,20 +439,6 @@ def check_differential_identities(field: StructureField,
     # for this construction's normalisation)
     out["lee_sum_closed"] = np.max(np.abs(d_theta_sum), axis=(-2, -1)) / (1.0 + den)
     return out
-
-
-def check_integrability(jfield, x: np.ndarray) -> np.ndarray:
-    """Max Nijenhuis component of an arbitrary sampled J-field at x.
-
-    ``jfield`` maps (k, 4) points to (k, 4, 4) endomorphisms; the detector is
-    exercised against non-integrable synthetic fields in the tests.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    cloud = StencilCloud(x, stencil_step(x))
-    values = np.asarray(jfield(cloud.points))
-    dj = cloud.partials(values)
-    n_tensor = nijenhuis_from_partials(np.asarray(jfield(x)), dj)
-    return np.max(np.abs(n_tensor), axis=(-3, -2, -1))
 
 
 def check_gamma_equivariance(field: StructureField, s0: BihermitianSample,

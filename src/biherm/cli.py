@@ -64,8 +64,9 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise GroupDataError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise GroupDataError(str(exc)) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, too many digits, or nested too deep
+        raise GroupDataError(f"{path}: {exc}") from exc
 
 
 def _parse_t_grid(spec: str) -> tuple:

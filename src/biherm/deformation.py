@@ -31,7 +31,6 @@ from .exterior import (
     HOLO_RE,
     J_STD,
     acs_from_form_pair,
-    ddc_from_hessian,
     invariant_part,
     metric_from_form,
     min_metric_eigenvalue,
@@ -222,26 +221,6 @@ def structure_from_triple(triple: QuotientTriple):
     g = metric_from_form(invariant_part(triple.psi_minus, J_STD), J_STD)
     p = -0.25 * np.einsum("ik,...ki->...", J_STD, j_minus)
     return j_minus, g, min_metric_eigenvalue(g), p
-
-
-def t_zero_derivative_check(spec: FlowSpec, x: np.ndarray, h_t: float = 1e-4,
-                            ode_tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
-    """Relative residual of the t = 0 slope of psi_minus/f against dd^c f / f.
-
-    The central difference in t of the quotient pullback must reproduce the
-    conformally normalised Kaehler form of the potential.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pf = PotentialField(spec)
-    r = pf.solve(x)
-    plus, minus = (pullback_psi(integrate_flow_chain(spec, (s,), x, r, ode_tol)[0])
-                   for s in (h_t, -h_t))
-    f, _, hess = pf.value_grad_hess(x, r)
-    slope = (plus - minus) / (2.0 * h_t * f[..., None, None])
-    target = ddc_from_hessian(hess) / f[..., None, None]
-    num = np.max(np.abs(slope - target), axis=(-2, -1))
-    den = np.max(np.abs(target), axis=(-2, -1))
-    return num / den
 
 
 @dataclass(frozen=True)

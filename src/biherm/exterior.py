@@ -179,13 +179,6 @@ def hodge_star(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * vol[..., None, None] * np.einsum("ijkl,...ij->...kl", EPS4, raised)
 
 
-def hodge_star_one(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Hodge star of a 1-form, returned as a dense antisymmetric (4,4,4)."""
-    ginv, vol = _metric_inverse_and_volume(g)
-    raised = np.einsum("...im,...m->...i", ginv, a)
-    return vol[..., None, None, None] * np.einsum("...i,ijkl->...jkl", raised, EPS4)
-
-
 def hodge_star_three(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Hodge star of a dense 3-form, returned as a 1-form."""
     ginv, vol = _metric_inverse_and_volume(g)
@@ -223,12 +216,6 @@ def dense_from_three(comps: np.ndarray) -> np.ndarray:
     return out
 
 
-def three_from_dense(c: np.ndarray) -> np.ndarray:
-    """Dense antisymmetric (..., 4, 4, 4) -> sorted-triple components (..., 4)."""
-    c = np.asarray(c)
-    return np.stack([c[..., a, b, d] for (a, b, d) in TRIPLES], axis=-1)
-
-
 def wedge_one_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a ^ B) as sorted-triple components for a 1-form a and 2-form B."""
     a = np.asarray(a)
@@ -238,22 +225,6 @@ def wedge_one_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for (i, j, k) in TRIPLES
     ]
     return np.stack(comps, axis=-1)
-
-
-def solve_lee_form(f: np.ndarray, d_comps: np.ndarray) -> np.ndarray:
-    """The unique 1-form tau with tau ^ F = dF, for nondegenerate F.
-
-    Independent route to the Lee form (the pipeline computes it as
-    J(delta F)); wedging with F is an isomorphism from 1-forms onto 3-forms
-    exactly when F ^ F != 0.
-    """
-    f = np.asarray(f, dtype=float)
-    mat = np.zeros(f.shape[:-2] + (4, 4))
-    for t, (a, b, c) in enumerate(TRIPLES):
-        mat[..., t, a] += f[..., b, c]
-        mat[..., t, b] -= f[..., a, c]
-        mat[..., t, c] += f[..., a, b]
-    return np.linalg.solve(mat, np.asarray(d_comps, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +326,6 @@ class StencilCloud:
     def d_two_form(self, values: np.ndarray) -> np.ndarray:
         """Exterior derivative of a 2-form field as sorted-triple comps."""
         return d_two_form_from_partials(self.partials(values))
-
-    def d_one_form(self, values: np.ndarray) -> np.ndarray:
-        """Exterior derivative of a 1-form field as a 2-form."""
-        p = self.partials(values)  # (..., d, j)
-        return p - np.swapaxes(p, -1, -2)
-
-    def d_three_form(self, comps: np.ndarray) -> np.ndarray:
-        """Exterior derivative of a triple-component 3-form field (a scalar
-        coefficient on the volume form)."""
-        p = self.partials(comps)  # (..., d, triple)
-        return p[..., 0, 3] - p[..., 1, 2] + p[..., 2, 1] - p[..., 3, 0]
 
 
 def d_two_form_from_partials(p: np.ndarray) -> np.ndarray:

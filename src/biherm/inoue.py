@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, GroupDataError
 from .exterior import J_STD, ddc_from_hessian, metric_from_form
+from .hopf_groups import _complex_from, _real_from
 from .jets import jet_variables
 
 REALITY_TOL = 1e-10
@@ -69,7 +70,8 @@ class InoueGroupData:
         real shear coefficients for S+/-."""
         gamma0 = self.generators[0]
         if self.family == "SM":
-            defect = abs(gamma0.p * abs(gamma0.r) ** 2 - 1.0)
+            # |r| * |r| rather than |r| ** 2, which raises on overflow
+            defect = abs(gamma0.p * (abs(gamma0.r) * abs(gamma0.r)) - 1.0)
             if defect > REALITY_TOL:
                 raise ConstraintViolation(
                     f"S_M requires alpha |beta|^2 = 1, defect {defect:.3e}"
@@ -94,29 +96,23 @@ class InoueGroupData:
 
 def inoue_data_from_json(doc: dict) -> InoueGroupData:
     """Parse {"family": .., "generators": [{"p", "q", "r", "s", "u"}, ..]}."""
-    from .hopf_groups import _complex_from
-
     if not isinstance(doc, dict) or "family" not in doc:
         raise GroupDataError("top level: expected an object with 'family'")
-    gens = []
     raw = doc.get("generators", [])
-    if not raw:
-        raise GroupDataError("generators: at least gamma0 is required")
+    if not isinstance(raw, list) or not raw:
+        raise GroupDataError("generators: expected a list of objects, gamma0 first")
+    gens = []
     for i, g in enumerate(raw):
         if not isinstance(g, dict):
             raise GroupDataError(f"generators[{i}]: expected an object")
-        try:
-            gens.append(
-                InoueGenerator(
-                    p=float(g.get("p", 1.0)),
-                    q=float(g.get("q", 0.0)),
-                    r=_complex_from(g.get("r", 1.0), f"generators[{i}].r"),
-                    s=_complex_from(g.get("s", 0.0), f"generators[{i}].s"),
-                    u=_complex_from(g.get("u", 0.0), f"generators[{i}].u"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise GroupDataError(f"generators[{i}]: {exc}") from exc
+        path = f"generators[{i}]"
+        gens.append(InoueGenerator(
+            p=_real_from(g.get("p", 1.0), f"{path}.p"),
+            q=_real_from(g.get("q", 0.0), f"{path}.q"),
+            r=_complex_from(g.get("r", 1.0), f"{path}.r"),
+            s=_complex_from(g.get("s", 0.0), f"{path}.s"),
+            u=_complex_from(g.get("u", 0.0), f"{path}.u"),
+        ))
     return InoueGroupData(str(doc["family"]), tuple(gens))
 
 
@@ -146,7 +142,8 @@ def verify_weight_invariance(data: InoueGroupData, w: np.ndarray,
     worst = np.zeros(np.shape(w))
     for g in data.generators:
         w2, _ = g.apply(w, z)
-        target = abs(g.holomorphic_det) ** 2 * weight
+        det = abs(g.holomorphic_det)
+        target = det * det * weight
         worst = np.maximum(worst, np.abs(np.imag(w2) ** k - target) / weight)
     return worst
 
@@ -186,7 +183,11 @@ def degree_sign_report(data: InoueGroupData, seed: int = 11, n: int = 200) -> di
     """
     data.validate()
     w, z = inoue_samples(seed, n)
-    invariance = verify_weight_invariance(data, w, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        invariance = verify_weight_invariance(data, w, z)
+    if not np.all(np.isfinite(invariance)):
+        raise ConstraintViolation("the generators map the sampled domain "
+                                  "beyond double precision")
     jet_curv = curvature_form(data, w)
     closed = curvature_closed_form(data, w)
     curvature_residual = np.max(np.abs(jet_curv - closed), axis=(-2, -1))

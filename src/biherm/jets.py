@@ -1,12 +1,8 @@
 """Second-order forward-mode jets: value, gradient and Hessian together.
 
 A ``JetScalar`` carries the 2-jet of a scalar expression in ``n`` variables
-(n = 4 for fields on R^4; the implicit radial-time solve uses n = 5 jets in
-the root variable and the four coordinates jointly).  All fields accept
-leading batch axes and every operation broadcasts over them.
-
-``ComplexJet`` pairs two jets as real and imaginary part, enough complex
-arithmetic for the polynomial/exponential expressions the potentials need.
+(n = 4 for fields on R^4).  All fields accept leading batch axes and every
+operation broadcasts over them.
 """
 
 from __future__ import annotations
@@ -144,54 +140,3 @@ def jet_variables(x: np.ndarray, nvars: int | None = None, offset: int = 0):
         grad[..., offset + j] = 1.0
         out.append(JetScalar(x[..., j], grad, np.zeros(x.shape[:-1] + (n, n))))
     return out
-
-
-@dataclass(frozen=True)
-class ComplexJet:
-    """Complex scalar tracked as a pair of real jets."""
-
-    re: JetScalar
-    im: JetScalar
-
-    def __add__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.re + other.re, self.im + other.im)
-        c = complex(other)
-        return ComplexJet(self.re + c.real, self.im + c.imag)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexJet(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexJet) else -complex(other))
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, JetScalar):
-            return ComplexJet(self.re * other, self.im * other)
-        c = complex(other)
-        return ComplexJet(self.re * c.real - self.im * c.imag,
-                          self.re * c.imag + self.im * c.real)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "ComplexJet":
-        return ComplexJet(self.re, -self.im)
-
-    def abs2(self) -> JetScalar:
-        return self.re * self.re + self.im * self.im
-
-    def __pow__(self, exponent: int) -> "ComplexJet":
-        if exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        out = ComplexJet(jet_constant(np.ones_like(self.re.value), self.re.nvars),
-                         jet_constant(np.zeros_like(self.im.value), self.im.nvars))
-        for _ in range(exponent):
-            out = out * self
-        return out

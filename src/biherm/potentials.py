@@ -39,7 +39,7 @@ from .exterior import (
     to_complex,
 )
 from .hopf_groups import ContractionParams
-from .jets import ComplexJet, JetScalar, jet_variables
+from .jets import JetScalar
 
 ROOT_TOL = 1e-13
 _BISECT_ITERS = 60
@@ -119,7 +119,7 @@ def _shear_polynomials(spec: FlowSpec, z: np.ndarray):
 def _g_value_slope(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
     """G and dG/dr, vectorised; uses only moduli (branch independent)."""
     z = to_complex(x)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "diagonal":
             la, lb = spec.log_alpha.real, spec.log_beta.real
             a2 = np.abs(z[..., 0]) ** 2
@@ -141,33 +141,11 @@ def _g_value_slope(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
         return value, slope
 
 
-def _g_jet5(spec: FlowSpec, r: np.ndarray, x: np.ndarray) -> JetScalar:
-    """2-jet of G in the five variables (r, x1, y1, x2, y2)."""
-    jr = jet_variables(np.asarray(r, dtype=float)[..., None], nvars=5, offset=0)[0]
-    jx = jet_variables(np.asarray(x, dtype=float), nvars=5, offset=1)
-    z1 = ComplexJet(jx[0], jx[1])
-    z2 = ComplexJet(jx[2], jx[3])
-    if spec.kind == "diagonal":
-        la, lb = spec.log_alpha.real, spec.log_beta.real
-        return (
-            z1.abs2() * (jr * (-2.0 * la)).exp()
-            + z2.abs2() * (jr * (-2.0 * lb)).exp()
-            - 1.0
-        )
-    lb = spec.log_beta.real
-    w = z1 - (z2**spec.m * spec.lam_hat) * jr
-    return (
-        w.abs2() * (jr * (-2.0 * spec.m * lb)).exp()
-        + z2.abs2() * (jr * (-2.0 * lb)).exp()
-        - 1.0
-    )
-
-
 def _g_derivatives(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
     """Gradient and Hessian of G in (r, x1, y1, x2, y2), in closed form.
 
-    Same quantities as the jet route ``_g_jet5`` (the tests pin the two
-    against each other); this avoids per-call jet temporaries on the flow
+    Same quantities as jet arithmetic on G (the tests pin the two against
+    each other); this avoids per-call jet temporaries on the flow
     integrator's hot path.
     """
     r = np.asarray(r, dtype=float)

@@ -67,26 +67,22 @@ def env_threads(override: int | None = None) -> int:
         return 1
 
 
-def chunked_map(fn, x: np.ndarray, threads: int = 1, chunk: int = CHUNK):
-    """Apply ``fn`` to fixed-size slices of the leading axis and stitch the
-    results back in order.
+def chunked_map(fn, x: np.ndarray, threads: int = 1) -> dict:
+    """Apply ``fn`` to fixed-size slices (CHUNK rows) of the leading axis
+    and stitch the dicts of arrays it returns back in order.
 
     ``fn`` must be pure; chunk size never depends on the thread count, so the
     output is bitwise identical for any pool size.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+    bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
     if len(bounds) <= 1 or threads <= 1:
         parts = [fn(x[a:b]) for a, b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda ab: fn(x[ab[0]:ab[1]]), bounds))
-    if isinstance(parts[0], dict):
-        return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col, axis=0) for col in zip(*parts))
-    return np.concatenate(parts, axis=0)
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
 def canonical_json(obj) -> str:

@@ -17,7 +17,6 @@ from biherm.certificate import (
     StructureField,
     assemble_from_triple,
     check_gamma_equivariance,
-    check_integrability,
     check_pointwise_algebra,
     run_certificate,
 )
@@ -26,7 +25,6 @@ from biherm.deformation import (
     integrate_flow,
     quotient_triple,
     select_deformation_time,
-    t_zero_derivative_check,
 )
 from biherm.exterior import HOLO_RE, J_STD, KAHLER_STD, wedge_to_volume
 from biherm.hopf_groups import (
@@ -46,6 +44,7 @@ from biherm.potentials import (
     verify_h_invariance,
     verify_rescaling,
 )
+from support import check_integrability, t_zero_derivative_check
 
 EPS3 = np.exp(2j * np.pi / 3)
 

@@ -15,22 +15,13 @@ from biherm.certificate import (
     assemble_from_triple,
     check_differential_identities,
     check_gamma_equivariance,
-    check_integrability,
     check_pointwise_algebra,
     lee_differentials,
     lee_theta_from_cloud,
     run_certificate,
 )
 from biherm.deformation import integrate_flow, quotient_triple
-from biherm.exterior import (
-    J_STD,
-    KAHLER_STD,
-    StencilCloud,
-    hodge_star_one,
-    solve_lee_form,
-    stencil_step,
-    three_from_dense,
-)
+from biherm.exterior import J_STD, KAHLER_STD, StencilCloud, stencil_step
 from biherm.hopf_groups import (
     ContractionParams,
     ContractionPower,
@@ -41,6 +32,14 @@ from biherm.potentials import (
     PotentialField,
     flow_spec_for,
     fundamental_annulus_sample,
+)
+from support import (
+    check_integrability,
+    d_one_form,
+    d_three_form,
+    hodge_star_one,
+    solve_lee_form,
+    three_from_dense,
 )
 
 CASE_A = ContractionParams(0.5, 0.5)
@@ -91,10 +90,10 @@ class TestAssembly:
         state = integrate_flow(spec, 0.2, x)
         triple = quotient_triple(spec, state)
         sample = assemble_from_triple(triple, state)
-        (theta_plus, theta_minus), _, _ = StructureField(spec, 0.2).lee_forms(sample)
-        assert theta_plus.shape == (3, 4)
+        lee = StructureField(spec, 0.2).lee_forms(sample)
+        assert lee.theta_plus.shape == (3, 4)
         # on the quotient construction theta_+ + theta_- = 2 tau
-        total = theta_plus + theta_minus
+        total = lee.theta_plus + lee.theta_minus
         assert np.max(np.abs(total - 2.0 * sample.tau)) < 1e-5
 
 
@@ -107,11 +106,12 @@ def nested_lee_differentials(field, center, outer_scale=10.0):
                          stencil_step(center.x, outer_scale * field.fd_step))
     so = field.assemble(outer.points)
     inner = StencilCloud(outer.points, stencil_step(outer.points, field.fd_step))
-    thetas = lee_theta_from_cloud(so, inner, field.assemble(inner.points))
+    lee = lee_theta_from_cloud(so, inner, field.assemble(inner.points))
+    thetas = (lee.theta_plus, lee.theta_minus)
     vol = np.sqrt(np.linalg.det(center.g))
-    deltas = [-outer.d_three_form(three_from_dense(hodge_star_one(so.g, theta)))
+    deltas = [-d_three_form(outer, three_from_dense(hodge_star_one(so.g, theta)))
               / vol for theta in thetas]
-    return deltas[0], deltas[1], outer.d_one_form(thetas[0] + thetas[1])
+    return deltas[0], deltas[1], d_one_form(outer, thetas[0] + thetas[1])
 
 
 class TestPointwiseBattery:
@@ -157,11 +157,12 @@ class TestLeeForms:
         center = SimpleNamespace(g=np.broadcast_to(np.eye(4), (5, 4, 4)),
                                  j_minus=np.broadcast_to(J_STD, (5, 4, 4)))
         sc = SimpleNamespace(g=np.broadcast_to(np.eye(4), (k, 4, 4)),
+                             j_minus=np.broadcast_to(J_STD, (k, 4, 4)),
                              f_plus=np.broadcast_to(KAHLER_STD, (k, 4, 4)),
                              f_minus=np.broadcast_to(KAHLER_STD, (k, 4, 4)))
-        theta_plus, theta_minus = lee_theta_from_cloud(center, cloud, sc)
-        assert np.max(np.abs(theta_plus)) < 1e-12
-        assert np.max(np.abs(theta_minus)) < 1e-12
+        lee = lee_theta_from_cloud(center, cloud, sc)
+        assert np.max(np.abs(lee.theta_plus)) < 1e-12
+        assert np.max(np.abs(lee.theta_minus)) < 1e-12
 
     def test_conformally_flat_metric_recovers_exact_lee_form(self):
         # g = e^phi Id with J_STD: F = e^phi kahler, dF = dphi ^ F, so
@@ -179,7 +180,8 @@ class TestLeeForms:
 
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 4)) * 0.7
-        cloud = StencilCloud(x, np.full(6, 1e-3))
+        # the certificate's one cloud: mixed corners at 3 * fd_step
+        cloud = StencilCloud(x, np.full(6, 3e-3), mixed=True)
 
         def data_at(points):
             scale = np.exp(phi(points))[..., None, None]
@@ -191,17 +193,15 @@ class TestLeeForms:
                 j_minus=np.broadcast_to(J_STD, points.shape[:-1] + (4, 4)),
             )
 
-        center, sc = data_at(x), data_at(cloud.points)
-        theta_plus, theta_minus = lee_theta_from_cloud(center, cloud, sc)
+        center = data_at(x)
+        lee = lee_theta_from_cloud(center, cloud, data_at(cloud.points))
         expected = dphi(x)
-        assert np.max(np.abs(theta_plus - expected)) < 1e-7
-        assert np.max(np.abs(theta_minus - expected)) < 1e-7
+        assert np.max(np.abs(lee.theta_plus - expected)) < 1e-7
+        assert np.max(np.abs(lee.theta_minus - expected)) < 1e-7
 
-        # second layer: delta theta = -e^-phi (laplacian phi + |d phi|^2),
+        # partials of theta: delta theta = -e^-phi (laplacian phi + |d phi|^2),
         # and d theta = dd phi = 0
-        field = SimpleNamespace(fd_step=1e-3, assemble=data_at)
-        delta_plus, delta_minus, d_sum = lee_differentials(
-            field, center, ((theta_plus, theta_minus), cloud, sc))
+        delta_plus, delta_minus, d_sum = lee_differentials(center, lee)
         laplacian = -0.6 * np.sin(x[..., 0]) * np.cos(x[..., 3])
         expected = -np.exp(-phi(x)) * (laplacian + np.sum(dphi(x)**2, axis=-1))
         assert np.max(np.abs(delta_plus - expected)) < 1e-6
@@ -215,7 +215,7 @@ class TestLeeForms:
         field = StructureField(spec, 0.25)
         x = fundamental_annulus_sample(10, CASE_B, 4)
         center = field.assemble(x)
-        (theta_plus, _), _, _ = field.lee_forms(center)
+        theta_plus = field.lee_forms(center).theta_plus
         for i in range(len(x)):
             y = x[i:i + 1]
             cloud = StencilCloud(y, stencil_step(y, 1e-3))
@@ -244,11 +244,11 @@ class TestLeeForms:
         x = fundamental_annulus_sample(11, CASE_B, 5)
         base = StructureField(spec, 0.25)
         scaled = RescaledField(spec, 0.25)
-        (tp0, tm0), _, _ = base.lee_forms(base.assemble(x))
-        (tp1, tm1), _, _ = scaled.lee_forms(scaled.assemble(x))
+        lee0 = base.lee_forms(base.assemble(x))
+        lee1 = scaled.lee_forms(scaled.assemble(x))
         shift = dphi(x)
-        assert np.max(np.abs(tp1 - tp0 - shift)) < 1e-6
-        assert np.max(np.abs(tm1 - tm0 - shift)) < 1e-6
+        assert np.max(np.abs(lee1.theta_plus - lee0.theta_plus - shift)) < 1e-6
+        assert np.max(np.abs(lee1.theta_minus - lee0.theta_minus - shift)) < 1e-6
 
 
 class TestDifferentialBattery:
@@ -278,7 +278,7 @@ class TestDifferentialBattery:
         spec = flow_spec_for(params)
         field = StructureField(spec, 0.3)
         center = field.assemble(fundamental_annulus_sample(12, params, 6))
-        new = lee_differentials(field, center, field.lee_forms(center))
+        new = lee_differentials(center, field.lee_forms(center))
         reference = nested_lee_differentials(field, center)
         for name, a, b in zip(("delta_plus", "delta_minus", "d_sum"),
                               new, reference):
@@ -286,8 +286,8 @@ class TestDifferentialBattery:
             assert gap < 1e-5, (name, gap)
 
     def test_flow_points_per_sample(self, monkeypatch):
-        # 16 for the first partials and 64 for the second partials; the
-        # nested route integrated 16 + 16 + 16 * 16 = 288
+        # one integration of the 64-point mixed cloud serves the first and
+        # the second partials
         import biherm.deformation
 
         spec = flow_spec_for(CASE_B)
@@ -303,7 +303,7 @@ class TestDifferentialBattery:
 
         monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
         check_differential_identities(field, center)
-        assert sum(points) / n <= 80
+        assert points == [64 * n]
 
 
 class TestIntegrabilityDetector:

@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -156,6 +158,28 @@ class TestCertifyCommand:
         assert code == 1
         assert err.startswith("parse error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, doc", [
+        ("classify", {"alpha": ["a", 1], "beta": 0.6}),
+        ("classify", dict(CASE_B_DOC, H=[[[None, 1], 0, 0, 1]])),
+        ("classify", dict(CASE_B_DOC, H=3)),
+        ("certify", dict(CASE_B_DOC, alpha=math.nan)),
+        ("certify", dict(CASE_C_DOC, **{"lambda": math.inf})),
+        ("certify", dict(CASE_B_DOC, alpha=1e400)),
+        ("certify", dict(CASE_B_DOC, arg_alpha="inf")),
+        ("certify", dict(CASE_B_DOC, arg_alpha="nan")),
+        ("inoue", dict(INOUE_SM_DOC, generators=5)),
+        ("inoue", dict(INOUE_SM_DOC, generators=[{"p": "nan"}])),
+    ])
+    def test_bad_documents_are_parse_errors(self, tmp_path, capsys, command,
+                                            doc):
+        # non-finite numbers and non-list H or generators are refused by the
+        # parsers, before any classification or flow
+        code = main([command, "--config", write(tmp_path, "doc.json", doc),
+                     "--samples", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("error", [DegenerateForm, SingularMetric])
     def test_degenerate_linear_algebra_is_numerical_failure(
@@ -226,6 +250,72 @@ def fuzz_configs(tmp_path_factory):
             for name, doc in FUZZ_DOCS.items()}
 
 
+# JSON documents: numbers at and beyond the float limits, strings, nesting
+# and missing keys, alone or spliced into a valid document
+JSON_NUMBER = st.one_of(
+    st.sampled_from([0, 1, -1, 3, 0.5, 0.6, -0.5, 1e-300, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf, 10**400]),
+    st.floats())
+JSON_LEAF = st.one_of(JSON_NUMBER, st.none(), st.booleans(),
+                      st.sampled_from(["nan", "inf", "1e400", "0.5", "x", ""]))
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["re", "im", "p", "x"]), inner,
+                        max_size=3)),
+    max_leaves=8)
+JSON_COMPLEX = st.one_of(
+    JSON_NUMBER,
+    st.lists(JSON_NUMBER, min_size=2, max_size=2),
+    st.fixed_dictionaries({}, optional={"re": JSON_NUMBER, "im": JSON_NUMBER}),
+    JSON_VALUE)
+GROUP_FIELDS = {
+    "alpha": JSON_COMPLEX,
+    "beta": JSON_COMPLEX,
+    "lambda": JSON_COMPLEX,
+    "m": st.one_of(st.integers(-1, 5), st.just(2**60), JSON_VALUE),
+    "arg_alpha": JSON_VALUE,
+    "arg_beta": JSON_VALUE,
+    "H": st.one_of(
+        st.lists(st.lists(JSON_COMPLEX, min_size=4, max_size=4), max_size=2),
+        JSON_VALUE),
+}
+GENERATOR_FIELDS = {"p": JSON_NUMBER, "q": JSON_NUMBER, "r": JSON_COMPLEX,
+                    "s": JSON_COMPLEX, "u": JSON_COMPLEX}
+INOUE_GENERATOR = st.one_of(
+    st.fixed_dictionaries({}, optional=GENERATOR_FIELDS), JSON_VALUE)
+INOUE_FIELDS = {
+    "family": st.one_of(st.sampled_from(["SM", "S+", "S-", "X"]), JSON_VALUE),
+    "generators": st.one_of(st.lists(INOUE_GENERATOR, max_size=3), JSON_VALUE),
+}
+
+
+def spliced(base, fields):
+    """base with one field replaced by a drawn value, or removed."""
+    return st.builds(
+        lambda key, value, drop: ({k: v for k, v in base.items() if k != key}
+                                  if drop else {**base, key: value}),
+        st.sampled_from(sorted(fields)), st.one_of(*fields.values()),
+        st.booleans())
+
+
+GROUP_DOCS = st.one_of(
+    st.fixed_dictionaries({}, optional=GROUP_FIELDS),
+    *(spliced(doc, GROUP_FIELDS) for doc in (CASE_B_DOC, CASE_C_DOC)))
+INOUE_DOCS = st.one_of(
+    st.fixed_dictionaries({}, optional=INOUE_FIELDS),
+    spliced(INOUE_SM_DOC, INOUE_FIELDS),
+    # one S+ generator that passes validation until a field is replaced
+    spliced({"p": 2.0, "q": 0.5, "r": 1.0}, GENERATOR_FIELDS).map(
+        lambda g: {"family": "S+", "generators": [g]}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_docs")
+
+
 class TestArgvFuzz:
     @given(command=st.sampled_from(["classify", "sweep"]),
            doc=st.sampled_from(sorted(FUZZ_DOCS)), flags=fuzz_flags())
@@ -238,6 +328,26 @@ class TestArgvFuzz:
         assert code in range(6)
         assert err.getvalue().count("\n") <= 1
         assert "Traceback" not in err.getvalue()
+
+    @given(argv_doc=st.one_of(
+        st.tuples(st.just(["classify"]), GROUP_DOCS),
+        st.tuples(st.just(["inoue"]), INOUE_DOCS)))
+    @settings(max_examples=200, deadline=None)
+    def test_every_document_ends_in_a_documented_exit(self, fuzz_dir,
+                                                      argv_doc):
+        argv, doc = argv_doc
+        path = fuzz_dir / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        # a warning would print lines of its own on stderr
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--config", str(path), "--samples", "3"])
+        assert code in range(6)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+        assert not [str(w.message) for w in caught]
 
 
 class TestOtherCommands:

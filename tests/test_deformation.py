@@ -11,12 +11,12 @@ from biherm.deformation import (
     pullback_psi,
     quotient_triple,
     select_deformation_time,
-    t_zero_derivative_check,
 )
 from biherm.exterior import HOLO_IM, HOLO_RE, KAHLER_STD, to_complex, wedge_to_volume
 from biherm.hopf_groups import ContractionParams
 from biherm.oracles import rotation_flow
 from biherm.potentials import PotentialField, flow_spec_for, fundamental_annulus_sample
+from support import t_zero_derivative_check
 
 CASE_A = ContractionParams(0.5, 0.5)
 CASE_B = ContractionParams(0.5, 0.6)

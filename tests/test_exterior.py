@@ -17,20 +17,18 @@ from biherm.exterior import (
     acs_from_form_pair,
     dense_from_three,
     hodge_star,
-    hodge_star_one,
     hodge_star_three,
     invariant_part,
     metric_from_form,
     min_metric_eigenvalue,
     nijenhuis_from_partials,
-    solve_lee_form,
     stencil_step,
-    three_from_dense,
     to_complex,
     from_complex,
     wedge_one_two,
     wedge_to_volume,
 )
+from support import d_one_form, hodge_star_one, solve_lee_form, three_from_dense
 
 RNG = np.random.default_rng(42)
 
@@ -222,8 +220,9 @@ def exterior_derivative(field, x, h=1e-3):
     """d of a per-point 1- or 2-form field at x: a 2-form, or the sorted-
     triple components of a 3-form."""
     cloud, values = _cloud_values(field, x, h)
-    d = cloud.d_one_form if values.ndim == 2 else cloud.d_two_form
-    return d(values)[0]
+    if values.ndim == 2:
+        return d_one_form(cloud, values)[0]
+    return cloud.d_two_form(values)[0]
 
 
 def nijenhuis(jfield, x, h=1e-3):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biherm.jets import ComplexJet, jet_constant, jet_variables
+from biherm.jets import jet_constant, jet_variables
+from support import ComplexJet
 
 
 def fd_gradient(fn, x, h=1e-3):

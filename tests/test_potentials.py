@@ -9,13 +9,13 @@ from biherm.hopf_groups import ContractionParams, ContractionPower, group_closur
 from biherm.potentials import (
     PotentialField,
     _g_derivatives,
-    _g_jet5,
     flow_apply,
     flow_spec_for,
     fundamental_annulus_sample,
     verify_h_invariance,
     verify_rescaling,
 )
+from support import g_jet5
 
 CASE_A = ContractionParams(0.5, 0.5)
 CASE_A_CPLX = ContractionParams(0.3 + 0.4j, 0.3 - 0.4j)
@@ -97,7 +97,7 @@ class TestRadialTime:
             spec = flow_spec_for(params)
             x = rng.standard_normal((30, 4)) * 1.4
             r = rng.uniform(-2, 2, 30)
-            jet = _g_jet5(spec, r, x)
+            jet = g_jet5(spec, r, x)
             grad, hess = _g_derivatives(spec, r, x)
             assert np.max(np.abs(jet.grad - grad)) < 1e-11
             assert np.max(np.abs(jet.hess - hess)) < 1e-11

@@ -49,6 +49,55 @@ def test_every_module_level_import_is_used():
     assert not unused
 
 
+#: Public names of src/biherm that no other code in src/ reads, each with
+#: the reason it stays in the library.
+UNREFERENCED_BY_DESIGN = {
+    "canonical_multiplier": "the canonical representation of the deck group "
+                            "(the multiplier of dz1^dz2), whose positivity "
+                            "real_type_check decides in closed form; "
+                            "test_groups pins its values",
+}
+
+
+def _unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes without a leading underscore that
+    no module reads (by name or as an attribute) and no ``__all__`` lists."""
+    defined, read, exported = set(), set(), set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.add(node.name)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read - exported)
+
+
+def test_unreferenced_name_detector():
+    sources = {"a.py": "def used(): pass\ndef dead(): pass\nclass _P: pass\n",
+               "b.py": "from a import used\nused()\n"
+                       "def listed(): pass\n__all__ = ['listed']\n"}
+    assert _unreferenced_public_names(sources) == ["dead"]
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # code that only the tests call lives in tests/support.py
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    unreferenced = _unreferenced_public_names(sources)
+    assert sorted(set(unreferenced) - set(UNREFERENCED_BY_DESIGN)) == []
+    # an allowlist entry that gained a caller is stale
+    assert sorted(set(UNREFERENCED_BY_DESIGN) - set(unreferenced)) == []
+
+
 def test_all_names_resolve():
     assert biherm.__all__
     for name in biherm.__all__:
