@@ -15,11 +15,11 @@ Pointwise identities are then algebraic consequences and must hold at the
 linear-solve tier (1e-9); identities involving derivatives are checked by
 Richardson finite differences of the whole pipeline on one stencil cloud
 per sample with mixed corners, at STENCIL_SCALE * fd_step: its axial rows
-give every first partial, its corners the second partials that the partials
-of the Lee forms need.  Tiers grow with the derivative order
-(1e-6 for first derivatives, 1e-5..1e-4 for products of them and for
-d(theta_+ + theta_-), 1e-3 for the Lee scalar identity).  Lee forms use
-theta = J(delta F) with delta = -*d* throughout.
+give every first partial, its corners and its copy of the base point the
+second partials that the partials of the Lee forms need.  Tiers grow with
+the derivative order (1e-6 for first derivatives, 1e-5..1e-4 for products
+of them and for d(theta_+ + theta_-), 1e-3 for the Lee scalar identity).
+Lee forms use theta = J(delta F) with delta = -*d* throughout.
 """
 
 from __future__ import annotations
@@ -346,15 +346,15 @@ def lee_differentials(center, lee: LeeForms):
     algebra in g, J and the first partials of *F; its partials are the exact
     linearisation of that algebra, fed by the first partials of g, j_minus
     and *F and the second partials of *F, all from the mixed cloud of
-    ``lee``.  ``center`` needs g, j_minus, f_plus and f_minus.
+    ``lee``, whose base row is also the centre of the second differences.
+    ``center`` needs g and j_minus.
     """
     ginv = np.linalg.inv(center.g)
     dlog_vol = 0.5 * np.einsum("...ab,...mba->...m", ginv, lee.dg)
     dthetas = []
-    for f, j, u, star in zip((center.f_plus, center.f_minus),
-                             (J_STD, center.j_minus), lee.u, lee.star):
+    for j, u, star in zip((J_STD, center.j_minus), lee.u, lee.star):
         # d_m u, from *d*F = g w / sqrt(det g) with w linear in d*F
-        d2 = lee.cloud.second_partials(star, hodge_star(center.g, f))
+        d2 = lee.cloud.second_partials(star)
         du = (np.einsum("...mab,...bc,...c->...ma", lee.dg, ginv, u)
               + hodge_star_three(center.g[..., None, :, :],
                                  dense_from_three(d_two_form_from_partials(d2)))

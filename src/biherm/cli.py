@@ -48,6 +48,10 @@ EXIT_TIERS = 5
 
 #: Most points a --t-grid may have (each is one sweep row).
 MAX_T_GRID_POINTS = 10_000
+#: Largest |t| that --t and the --t-grid bounds accept.  The deformation is
+#: a small-t construction (the default grid ends at 0.5), and the flow's
+#: work grows with |t|: construct --samples 1 --t 10 takes under a second.
+MAX_ABS_T = 10.0
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -77,6 +81,9 @@ def _parse_t_grid(spec: str) -> tuple:
     if not (math.isfinite(a) and math.isfinite(b) and 0 < step < math.inf):
         raise GroupDataError(f"--t-grid needs finite bounds and a finite "
                              f"positive step, got {spec!r}")
+    if max(abs(a), abs(b)) > MAX_ABS_T:
+        raise GroupDataError(f"--t-grid bounds must lie in [-{MAX_ABS_T:g}, "
+                             f"{MAX_ABS_T:g}], got {spec!r}")
     a, b = min(a, b), max(a, b)  # reversed bounds canonicalise
     count = (b - a) / step  # inf when b - a overflows or step underflows
     if not count < MAX_T_GRID_POINTS:
@@ -137,8 +144,9 @@ def _certificate_config(args) -> CertificateConfig:
     data = group_data_from_json(_load_config(args.config))
     if args.threads is not None:
         _at_least_one("--threads", args.threads)
-    if args.t is not None and not math.isfinite(args.t):
-        raise GroupDataError(f"--t must be finite, got {args.t!r}")
+    if args.t is not None and not abs(args.t) <= MAX_ABS_T:
+        raise GroupDataError(f"--t must be finite with |t| <= {MAX_ABS_T:g}, "
+                             f"got {args.t!r}")
     cfg = CertificateConfig(
         data=data,
         t=args.t,

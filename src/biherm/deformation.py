@@ -17,6 +17,11 @@ radial time r), and has det D > 0.  A trajectory starts from a known r
 field is evaluated at that r, and the state carries it for the quotient
 forms; the certificate checks, never enforces, that f is preserved, by a
 cold solve of r at the images.
+
+The coupled trajectory/variational system is integrated by DOP853, the
+8(5,3) pair of Dormand and Prince, with one adaptive step per batch.  A
+sequence of times is one trajectory: the positivity sweep costs one
+integration to its last grid time.
 """
 
 from __future__ import annotations
@@ -41,27 +46,6 @@ from .potentials import FlowSpec, PotentialEval, PotentialField
 DEFAULT_ODE_TOL = 1e-10
 DEFAULT_T_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
 _MAX_STEPS = 100_000
-
-# Dormand-Prince 5(4) pair; row 7 equals the 5th-order weights (FSAL).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
 
 @dataclass(frozen=True)
 class DeformationState:
@@ -118,41 +102,129 @@ def _flow_rhs(pf: PotentialField, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([dx, dd.reshape(y.shape[:-1] + (16,))], axis=-1)
 
 
-def _integrate(pf: PotentialField, r0: np.ndarray, y0: np.ndarray, t0: float,
-               t1: float, ode_tol: float) -> np.ndarray:
-    """Adaptive Dormand-Prince 5(4) over the whole batch; the step is
-    controlled by the worst scaled local error across all components."""
-    if t1 == t0:
-        return y0
-    direction = 1.0 if t1 > t0 else -1.0
-    t = t0
-    y = y0
-    k1 = _flow_rhs(pf, r0, y)
-    h = direction * min(0.05, abs(t1 - t0))
-    h_floor = 1e-14 * max(1.0, abs(t1 - t0))
-    for _ in range(_MAX_STEPS):
-        if (t1 - t) * direction <= 0.0:
-            return y
-        h = direction * min(abs(h), abs(t1 - t))
-        ks = [k1]
-        for stage in range(1, 7):
-            incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
-            ks.append(_flow_rhs(pf, r0, y + h * incr))
-        y_new = y + h * sum(a * k for a, k in zip(_DP_A[6], ks))
-        err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
-        scale = ode_tol + ode_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            t = t1 if abs(t1 - (t + h)) < h_floor else t + h
-            y = y_new
-            k1 = ks[6]  # first-same-as-last
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h *= factor
-        if abs(h) < h_floor:
-            raise StepSizeUnderflow(
-                f"step size underflow at t = {t:.6g} (tol {ode_tol:g})"
-            )
-    raise StepSizeUnderflow(f"exceeded {_MAX_STEPS} steps integrating to t = {t1}")
+# DOP853, the 8(5,3) pair of Dormand and Prince (Hairer, Norsett and Wanner,
+# Solving ODEs I, sec. II.5 and II.10), with the coefficients of Hairer and
+# Wanner's Fortran code dop853.f.  Stage i is evaluated at
+# y + h * sum_j _DOP_A[i][j] k_j (time t + _DOP_C[i] h; the flow is
+# autonomous), the step advances with the 8th-order weights _DOP_B, and
+# _DOP_E5, _DOP_E3 give the 5th- and 3rd-order error estimators.
+_DOP_C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
+_DOP_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
+)
+_DOP_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+)
+_DOP_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+# b minus the weights of the embedded 3rd-order solution
+_DOP_E3 = tuple(b - b3 for b, b3 in zip(_DOP_B, (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1)))
+
+
+def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
+               t_values, ode_tol: float):
+    """Yield y at each of the nondecreasing times t_values, continuing one
+    trajectory from y at t = 0 with adaptive DOP853 over the whole batch.
+
+    One step size serves the batch; its error is Hairer's combined 5th/3rd
+    order estimate, err = |h| E5^2 / sqrt(E5^2 + 0.01 E3^2), where E5 and
+    E3 are the max-norms over all components of the estimators scaled by
+    ode_tol * (1 + max(|y|, |y_new|)).  A step clipped to end on a grid time
+    does not shrink the controller's h, and the last stage of an accepted
+    step is the first of the next (FSAL), across grid times too.
+    """
+    t = 0.0
+    h = 0.05
+    k = np.empty((len(_DOP_C),) + y.shape)  # the stages of one step
+    k[0] = _flow_rhs(pf, r0, y)
+    steps = 0
+    for t1 in t_values:
+        direction = 1.0 if t1 >= t else -1.0
+        h_floor = 1e-14 * max(1.0, abs(t1))
+        while (t1 - t) * direction > 0.0:
+            if steps == _MAX_STEPS:
+                raise StepSizeUnderflow(
+                    f"exceeded {_MAX_STEPS} steps integrating to t = {t1}")
+            steps += 1
+            step = direction * min(h, abs(t1 - t))
+            for i in range(1, len(_DOP_C)):
+                k[i] = _flow_rhs(pf, r0, y + step * np.tensordot(
+                    _DOP_A[i], k[:i], axes=1))
+            y_new = y + step * np.tensordot(_DOP_B, k, axes=1)
+            scale = ode_tol + ode_tol * np.maximum(np.abs(y), np.abs(y_new))
+            e5, e3 = (float(np.max(np.abs(np.tensordot(e, k, axes=1)) / scale))
+                      for e in (_DOP_E5, _DOP_E3))
+            err = (abs(step) * e5**2 / np.sqrt(e5**2 + 0.01 * e3**2)
+                   if e5 or e3 else 0.0)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
+            proposal = abs(step) * factor
+            if err <= 1.0:
+                t = t1 if abs(t1 - (t + step)) < h_floor else t + step
+                y = y_new
+                k[0] = _flow_rhs(pf, r0, y)  # first same as last
+                if abs(step) < h:  # clipped to t1: keep the controller's h
+                    proposal = max(h, proposal)
+            h = proposal
+            if h < h_floor:
+                raise StepSizeUnderflow(
+                    f"step size underflow at t = {t:.6g} (tol {ode_tol:g})")
+        yield y
 
 
 def _flow_states(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,
@@ -167,14 +239,9 @@ def _flow_states(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,
     pf = PotentialField(spec)
     eye = np.broadcast_to(np.eye(4).reshape(16), x.shape[:-1] + (16,))
     y = np.concatenate([x, eye], axis=-1)
-    states = []
-    prev = 0.0
-    for t in ts:
-        y = _integrate(pf, r0, y, prev, t, ode_tol)
-        prev = t
-        states.append(DeformationState(
-            t, x, r0, y[..., :4], y[..., 4:].reshape(x.shape[:-1] + (4, 4))))
-    return states
+    return [DeformationState(t, x, r0, y_t[..., :4],
+                             y_t[..., 4:].reshape(x.shape[:-1] + (4, 4)))
+            for t, y_t in zip(ts, _integrate(pf, r0, y, ts, ode_tol))]
 
 
 def integrate_flow(spec: FlowSpec, t: float, x: np.ndarray,

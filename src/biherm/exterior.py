@@ -243,8 +243,10 @@ def stencil_step(x: np.ndarray, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
 
 class StencilCloud:
     """Richardson stencil around base points: +-h and +-h/2 along each axis
-    and, with ``mixed``, the corners (+-h, +-h) and (+-h/2, +-h/2) of each
-    coordinate plane.
+    (16 rows per base point) and, with ``mixed``, the corners (+-h, +-h)
+    and (+-h/2, +-h/2) of each coordinate plane and the base point itself
+    (65 rows), so that a field evaluated on the cloud supplies the centre
+    of its own second differences (for the flow: one step sequence).
 
     Each derivative is a central difference at steps h and h/2 (weights as
     in Fornberg 1988, *Generation of finite difference formulas on
@@ -255,14 +257,16 @@ class StencilCloud:
     _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
     _PAIRS = tuple(itertools.combinations(range(4), 2))
     # rows of one base point's cloud: the axial points by (direction,
-    # offset), then the corners by (plane, step h or h/2, corner)
+    # offset), then the corners by (plane, step h or h/2, corner), then the
+    # centre
     _AXIAL = np.arange(16).reshape(4, 4)
     _CORNER_ROWS = 16 + np.arange(48).reshape(6, 2, 4)
+    _CENTRE_ROW = 64
 
     def __init__(self, x: np.ndarray, h: np.ndarray, mixed: bool = False):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        disp = np.zeros((64 if mixed else 16, 4))
+        disp = np.zeros((65 if mixed else 16, 4))
         for d in range(4):
             for o, s in enumerate(self._OFFSETS):
                 disp[self._AXIAL[d, o], d] = s
@@ -296,14 +300,13 @@ class StencilCloud:
         d2 = (v2 - v3) / h
         return (4.0 * d2 - d1) / 3.0
 
-    def second_partials(self, values: np.ndarray,
-                        center: np.ndarray) -> np.ndarray:
-        """values evaluated at the points of a ``mixed`` cloud, and center
-        at its base points -> symmetric array of second derivatives with two
-        direction axes inserted after the batch axes (O(h^4))."""
+    def second_partials(self, values: np.ndarray) -> np.ndarray:
+        """values evaluated at the points of a ``mixed`` cloud -> symmetric
+        array of second derivatives with two direction axes inserted after
+        the batch axes (O(h^4)); the centre is the cloud's own base row."""
         nb = len(self.base_shape)
         h2 = self._step(values) ** 2
-        c2 = 2.0 * np.expand_dims(center, nb)
+        c2 = 2.0 * self._at(values, [self._CENTRE_ROW])
         v0, v1, v2, v3 = (self._at(values, self._AXIAL[:, o]) for o in range(4))
         diag_h = (v0 + v1 - c2) / h2
         diag_half = 4.0 * (v2 + v3 - c2) / h2

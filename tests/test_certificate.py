@@ -285,9 +285,26 @@ class TestDifferentialBattery:
             gap = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
             assert gap < 1e-5, (name, gap)
 
+    def test_second_partials_centre_is_on_the_cloud(self):
+        # the Richardson diagonal weights its centre by 10/H^2 (about 1e6):
+        # a centre from another step sequence than the arms (the base
+        # assembly's) moved delta theta by 3.9e-5 under a 1e-11 relative
+        # change of F_pm at the base points; the cloud's own base row does
+        # not see the base assembly's F_pm at all
+        spec = flow_spec_for(CASE_B)
+        field = StructureField(spec, 0.3)
+        center = field.assemble(fundamental_annulus_sample(12, CASE_B, 4))
+        lee = field.lee_forms(center)
+        nudged = replace(center, f_plus=center.f_plus * (1.0 + 1e-11),
+                         f_minus=center.f_minus * (1.0 + 1e-11))
+        for a, b in zip(lee_differentials(center, lee),
+                        lee_differentials(nudged, lee)):
+            assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) < 1e-9
+
     def test_flow_points_per_sample(self, monkeypatch):
-        # one integration of the 64-point mixed cloud serves the first and
-        # the second partials
+        # one integration of the 65-point mixed cloud (its base row the
+        # centre of the second differences) serves the first and the second
+        # partials
         import biherm.deformation
 
         spec = flow_spec_for(CASE_B)
@@ -303,7 +320,7 @@ class TestDifferentialBattery:
 
         monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
         check_differential_identities(field, center)
-        assert points == [64 * n]
+        assert points == [65 * n]
 
 
 class TestIntegrabilityDetector:

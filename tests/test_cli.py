@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -180,6 +181,37 @@ class TestCertifyCommand:
         assert code == 1
         assert err.startswith("parse error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--samples", "1", "--t", "1e3"],
+        ["certify", "--samples", "1", "--t=-11"],
+        ["sweep", "--samples", "1", "--t-grid", "0:1e3:1"],
+        ["construct", "--samples", "1", "--t-grid=-20:0.5:0.1"],
+    ])
+    def test_huge_deformation_time_is_refused_at_once(self, tmp_path, capsys,
+                                                      argv):
+        # the flow's work grows with |t|; beyond MAX_ABS_T it is not started
+        start = time.perf_counter()
+        code = main([*argv, "--config", write(tmp_path, "b.json", CASE_B_DOC)])
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert "10" in err
+
+    @pytest.mark.parametrize("argv", [["construct", "--t", "0.2"], ["certify"]])
+    def test_subnormal_multiplier_is_refused_in_one_line(self, tmp_path,
+                                                         capsys, argv):
+        # alpha = beta = 1.8e-161 gives a = 3.3e-322, so f = a^r and Phi/f
+        # leave double precision; refused before any numerics, no warning
+        tiny = 1.8124248049063527e-161
+        path = write(tmp_path, "tiny.json", {"alpha": tiny, "beta": tiny})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--config", path, "--samples", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == "" and not caught
+        reason = json.loads(out).get("refusal") or json.loads(out)["reason"]
+        assert reason.startswith("multiplier 3.26e-322 is below")
 
     @pytest.mark.parametrize("error", [DegenerateForm, SingularMetric])
     def test_degenerate_linear_algebra_is_numerical_failure(
@@ -253,8 +285,8 @@ def fuzz_configs(tmp_path_factory):
 # JSON documents: numbers at and beyond the float limits, strings, nesting
 # and missing keys, alone or spliced into a valid document
 JSON_NUMBER = st.one_of(
-    st.sampled_from([0, 1, -1, 3, 0.5, 0.6, -0.5, 1e-300, 1e308, -1e308,
-                     math.nan, math.inf, -math.inf, 10**400]),
+    st.sampled_from([0, 1, -1, 3, 0.5, 0.6, -0.5, 1e-160, 1e-300, 1e308,
+                     -1e308, math.nan, math.inf, -math.inf, 10**400]),
     st.floats())
 JSON_LEAF = st.one_of(JSON_NUMBER, st.none(), st.booleans(),
                       st.sampled_from(["nan", "inf", "1e400", "0.5", "x", ""]))
@@ -302,6 +334,8 @@ def spliced(base, fields):
 
 GROUP_DOCS = st.one_of(
     st.fixed_dictionaries({}, optional=GROUP_FIELDS),
+    # alpha = beta: case (a) at any modulus, down to a subnormal multiplier
+    JSON_NUMBER.map(lambda v: {"alpha": v, "beta": v}),
     *(spliced(doc, GROUP_FIELDS) for doc in (CASE_B_DOC, CASE_C_DOC)))
 INOUE_DOCS = st.one_of(
     st.fixed_dictionaries({}, optional=INOUE_FIELDS),
@@ -331,8 +365,11 @@ class TestArgvFuzz:
 
     @given(argv_doc=st.one_of(
         st.tuples(st.just(["classify"]), GROUP_DOCS),
-        st.tuples(st.just(["inoue"]), INOUE_DOCS)))
-    @settings(max_examples=200, deadline=None)
+        # group documents that classify also reach the flow and assembly
+        st.tuples(st.just(["construct", "--t", "0.2", "--samples", "2"]),
+                  GROUP_DOCS),
+        st.tuples(st.just(["inoue", "--samples", "3"]), INOUE_DOCS)))
+    @settings(max_examples=300, deadline=None)
     def test_every_document_ends_in_a_documented_exit(self, fuzz_dir,
                                                       argv_doc):
         argv, doc = argv_doc
@@ -343,7 +380,7 @@ class TestArgvFuzz:
         with redirect_stdout(io.StringIO()), redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([*argv, "--config", str(path), "--samples", "3"])
+            code = main([*argv, "--config", str(path)])
         assert code in range(6)
         assert err.getvalue().count("\n") <= 1
         assert "Traceback" not in err.getvalue()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import biherm.deformation as deformation
 from biherm.deformation import (
+    DEFAULT_T_GRID,
     hamiltonian_field,
     integrate_flow,
     integrate_flow_chain,
@@ -12,7 +14,15 @@ from biherm.deformation import (
     quotient_triple,
     select_deformation_time,
 )
-from biherm.exterior import HOLO_IM, HOLO_RE, KAHLER_STD, to_complex, wedge_to_volume
+from biherm.exterior import (
+    HOLO_IM,
+    HOLO_RE,
+    KAHLER_STD,
+    StencilCloud,
+    stencil_step,
+    to_complex,
+    wedge_to_volume,
+)
 from biherm.hopf_groups import ContractionParams
 from biherm.oracles import rotation_flow
 from biherm.potentials import PotentialField, flow_spec_for, fundamental_annulus_sample
@@ -171,6 +181,73 @@ class TestIntegrateFlow:
         x = fundamental_annulus_sample(6, CASE_B, 8)
         back = integrate_flow(spec, -0.2, integrate_flow(spec, 0.2, x).x_t)
         assert np.max(np.abs(back.x_t - x)) < 1e-9
+
+
+def counting_rhs(monkeypatch):
+    """Record the state argument of every flow right-hand-side evaluation."""
+    seen = []
+    rhs = deformation._flow_rhs
+
+    def counting(pf, r0, y):
+        seen.append(y.copy())
+        return rhs(pf, r0, y)
+
+    monkeypatch.setattr(deformation, "_flow_rhs", counting)
+    return seen
+
+
+class TestDop853:
+    def test_tableau_is_consistent(self):
+        # row i of A sums to its node c_i, the weights b to 1, and both error
+        # estimators (differences of weights) to 0
+        c, a = deformation._DOP_C, deformation._DOP_A
+        assert len(c) == len(a) == len(deformation._DOP_B) == 12
+        for ci, row in zip(c, a):
+            assert sum(row) == pytest.approx(ci, abs=1e-14)
+        assert sum(deformation._DOP_B) == pytest.approx(1.0, abs=1e-14)
+        for e in (deformation._DOP_E5, deformation._DOP_E3):
+            assert len(e) == 12
+            assert sum(e) == pytest.approx(0.0, abs=1e-14)
+
+    def test_stencil_cloud_to_half_takes_ten_steps(self, monkeypatch):
+        # a case-b mixed cloud (65 points per sample) integrated to t = 0.5:
+        # one start-up evaluation and 12 per step, at most ten steps
+        spec = flow_spec_for(CASE_B)
+        x = fundamental_annulus_sample(7, CASE_B, 4)
+        cloud = StencilCloud(x, stencil_step(x, 3e-3), mixed=True)
+        assert cloud.points.shape == (65 * 4, 4)
+        seen = counting_rhs(monkeypatch)
+        integrate_flow(spec, 0.5, cloud.points)
+        assert len(seen) <= 121
+
+    def test_chain_makes_one_start_up_evaluation(self, monkeypatch):
+        # the chain continues one trajectory through the grid times: the
+        # last stage of each accepted step is the first of the next, also
+        # across a grid time, so only the initial state is evaluated on its
+        # own and no state is evaluated twice
+        spec = flow_spec_for(CASE_B)
+        x = fundamental_annulus_sample(7, CASE_B, 6)
+        seen = counting_rhs(monkeypatch)
+        states = integrate_flow_chain(spec, DEFAULT_T_GRID, x,
+                                      PotentialField(spec).solve(x))
+        assert [s.t for s in states] == list(DEFAULT_T_GRID)
+        y0 = np.concatenate([x, np.broadcast_to(np.eye(4).reshape(16),
+                                                (6, 16))], axis=-1)
+        assert np.array_equal(seen[0], y0)
+        assert len({y.tobytes() for y in seen}) == len(seen)
+
+    def test_chain_through_negative_and_zero_times(self):
+        # the first grid time may lie behind the start; the trajectory then
+        # turns round and continues forward
+        spec = flow_spec_for(CASE_B)
+        x = fundamental_annulus_sample(8, CASE_B, 4)
+        r = PotentialField(spec).solve(x)
+        states = integrate_flow_chain(spec, (-0.1, 0.0, 0.2), x, r)
+        back = integrate_flow(spec, -0.1, x)
+        assert np.max(np.abs(states[0].x_t - back.x_t)) < 1e-9
+        assert np.max(np.abs(states[1].x_t - x)) < 1e-9
+        assert np.max(np.abs(states[2].x_t
+                             - integrate_flow(spec, 0.2, x).x_t)) < 1e-9
 
 
 class TestPullback:
