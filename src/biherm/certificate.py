@@ -254,26 +254,31 @@ class StructureField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def assemble(self, x: np.ndarray) -> BihermitianSample:
-        """Assembled structure at x (batched, chunked, thread-mapped)."""
+    def assemble(self, x: np.ndarray, group: int = 1) -> BihermitianSample:
+        """Assembled structure at x (batched, chunked, thread-mapped).  Each
+        chunk is one integration, with one step sequence; runs of ``group``
+        rows (a stencil cloud) never straddle two chunks."""
         def run(chunk):
             state = integrate_flow(self.spec, self.t, chunk, self.ode_tol)
             s = assemble_from_triple(quotient_triple(self.spec, state), state)
             return {f.name: getattr(s, f.name) for f in fields(s) if f.name != "t"}
 
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return BihermitianSample(t=self.t, **chunked_map(run, x, threads=self.threads))
+        return BihermitianSample(t=self.t, **chunked_map(run, x, self.threads, group))
 
     # -- Lee forms -------------------------------------------------------------
 
     def lee_forms(self, center: BihermitianSample) -> LeeForms:
         """Lee forms at the points of an assembled sample, from the structure
         assembled on one mixed stencil cloud (step STENCIL_SCALE * fd_step)
-        whose rows also feed every other derivative family."""
+        whose rows also feed every other derivative family.  A cloud is
+        integrated in one piece, so its arms and its centre share one step
+        sequence."""
         cloud = StencilCloud(center.x,
                              stencil_step(center.x, STENCIL_SCALE * self.fd_step),
                              mixed=True)
-        return lee_theta_from_cloud(center, cloud, self.assemble(cloud.points))
+        return lee_theta_from_cloud(center, cloud,
+                                    self.assemble(cloud.points, cloud.rows))
 
 
 # ---------------------------------------------------------------------------

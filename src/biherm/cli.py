@@ -24,6 +24,7 @@ from .certificate import (
 from .deformation import positivity_sweep, quotient_triple
 from .errors import (
     AmbiguousRadialTime,
+    BeyondPrecision,
     ConstraintViolation,
     DegenerateForm,
     GroupDataError,
@@ -298,8 +299,8 @@ def main(argv=None) -> int:
     except (NotPlurisubharmonic, NotPositive) as exc:
         print(f"analytic refusal: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC
-    except (AmbiguousRadialTime, DegenerateForm, SingularMetric,
-            StepSizeUnderflow) as exc:
+    except (AmbiguousRadialTime, BeyondPrecision, DegenerateForm,
+            SingularMetric, StepSizeUnderflow) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

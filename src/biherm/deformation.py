@@ -105,23 +105,10 @@ def _flow_rhs(pf: PotentialField, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
 # DOP853, the 8(5,3) pair of Dormand and Prince (Hairer, Norsett and Wanner,
 # Solving ODEs I, sec. II.5 and II.10), with the coefficients of Hairer and
 # Wanner's Fortran code dop853.f.  Stage i is evaluated at
-# y + h * sum_j _DOP_A[i][j] k_j (time t + _DOP_C[i] h; the flow is
-# autonomous), the step advances with the 8th-order weights _DOP_B, and
-# _DOP_E5, _DOP_E3 give the 5th- and 3rd-order error estimators.
-_DOP_C = (
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-)
+# y + h * sum_j _DOP_A[i][j] k_j (the flow is autonomous, so the stage
+# times t + c_i h are not needed), the step advances with the 8th-order
+# weights _DOP_B, and _DOP_E5, _DOP_E3 give the 5th- and 3rd-order error
+# estimators.
 _DOP_A = (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -191,7 +178,7 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
     """
     t = 0.0
     h = 0.05
-    k = np.empty((len(_DOP_C),) + y.shape)  # the stages of one step
+    k = np.empty((len(_DOP_B),) + y.shape)  # the stages of one step
     k[0] = _flow_rhs(pf, r0, y)
     steps = 0
     for t1 in t_values:
@@ -203,7 +190,7 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
                     f"exceeded {_MAX_STEPS} steps integrating to t = {t1}")
             steps += 1
             step = direction * min(h, abs(t1 - t))
-            for i in range(1, len(_DOP_C)):
+            for i in range(1, len(_DOP_B)):
                 k[i] = _flow_rhs(pf, r0, y + step * np.tensordot(
                     _DOP_A[i], k[:i], axes=1))
             y_new = y + step * np.tensordot(_DOP_B, k, axes=1)

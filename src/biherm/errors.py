@@ -41,6 +41,11 @@ class NotPositive(BihermError):
     deformation time; pick a smaller time."""
 
 
+class BeyondPrecision(BihermError):
+    """Valid group data whose numerics leave double precision: a contraction
+    multiplier too small for the potential and the quotient forms."""
+
+
 class StepSizeUnderflow(BihermError):
     """The adaptive integrator could not meet the error tolerance above the
     minimal step size."""

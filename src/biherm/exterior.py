@@ -247,6 +247,7 @@ class StencilCloud:
     and (+-h/2, +-h/2) of each coordinate plane and the base point itself
     (65 rows), so that a field evaluated on the cloud supplies the centre
     of its own second differences (for the flow: one step sequence).
+    ``rows`` is that count; ``points`` holds the clouds one after another.
 
     Each derivative is a central difference at steps h and h/2 (weights as
     in Fornberg 1988, *Generation of finite difference formulas on
@@ -277,14 +278,14 @@ class StencilCloud:
                     disp[rows, plane] = scale * self._CORNERS
         self.base_shape = x.shape[:-1]
         self.h = h
-        self._rows = disp.shape[0]
+        self.rows = disp.shape[0]
         pts = x[..., None, :] + h[..., None, None] * disp
         self.points = pts.reshape(-1, 4)
 
     def _at(self, values: np.ndarray, rows) -> np.ndarray:
         """Entries of values (evaluated at self.points) at the given rows of
         each base point's cloud, on an axis after the batch axes."""
-        v = values.reshape(self.base_shape + (self._rows,) + values.shape[1:])
+        v = values.reshape(self.base_shape + (self.rows,) + values.shape[1:])
         return np.take(v, rows, axis=len(self.base_shape))
 
     def _step(self, values: np.ndarray) -> np.ndarray:

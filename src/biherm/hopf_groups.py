@@ -36,11 +36,6 @@ from .exterior import from_complex, realify, to_complex
 REALITY_TOL = 1e-10
 MATCH_TOL = 1e-8
 DEFAULT_CLOSURE_CAP = 1000
-#: Smallest multiplier a (f(gamma0 z) = a f(z)) the numerics represent.  The
-#: quotient forms scale like 1/f, with f = a^r down to a^2 on the deck
-#: images of the samples, and their 4x4 determinants like a^-8, which is
-#: 1e240 at the bound and overflows double precision below about 1e-38.
-MIN_MULTIPLIER = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +73,6 @@ class ContractionParams:
         # the shear lambda / beta^m of the flow (beta^m may underflow to 0)
         if self.lam and not (beta_m and cmath.isfinite(self.lam / beta_m)):
             return "lambda / beta^m is beyond double precision"
-        multiplier = b ** (self.m + 1) if self.lam else a * b
-        if not multiplier >= MIN_MULTIPLIER:
-            return (f"multiplier {multiplier:.3g} is below {MIN_MULTIPLIER:g}: "
-                    "f = a^r and the quotient forms Phi/f leave double precision")
         return None
 
 

@@ -25,11 +25,17 @@ check for shears, where it fails once |lambda| grows too large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousRadialTime, GroupDataError, NotPlurisubharmonic
+from .errors import (
+    AmbiguousRadialTime,
+    BeyondPrecision,
+    GroupDataError,
+    NotPlurisubharmonic,
+)
 from .exterior import (
     J_STD,
     ddc_from_hessian,
@@ -45,6 +51,11 @@ ROOT_TOL = 1e-13
 _BISECT_ITERS = 60
 _NEWTON_ITERS = 8
 _SCAN_POINTS = 64
+#: Smallest multiplier a (f(gamma0 z) = a f(z)) the numerics represent.  The
+#: quotient forms scale like 1/f, with f = a^r down to a^2 on the deck
+#: images of the samples, and their 4x4 determinants like a^-8, which is
+#: 1e240 at the bound and overflows double precision below about 1e-38.
+MIN_MULTIPLIER = 1e-30
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,12 @@ class FlowSpec:
 
 
 def flow_spec_for(params: ContractionParams) -> FlowSpec:
-    """Build the flow containing gamma0 from validated contraction data."""
+    """Build the flow containing gamma0 from validated contraction data.
+
+    Valid data whose multiplier is below MIN_MULTIPLIER raises
+    BeyondPrecision: the flow exists, but its potential and quotient forms
+    do not fit in double precision.
+    """
     reason = params.validate()
     if reason is not None:
         raise GroupDataError(reason)
@@ -82,6 +98,12 @@ def flow_spec_for(params: ContractionParams) -> FlowSpec:
     arg_b = params.arg_beta if params.arg_beta is not None else float(np.angle(params.beta))
     log_alpha = complex(np.log(abs(params.alpha)), arg_a)
     log_beta = complex(np.log(abs(params.beta)), arg_b)
+    log_a = ((params.m + 1) * log_beta.real if params.lam
+             else log_alpha.real + log_beta.real)
+    if not log_a >= math.log(MIN_MULTIPLIER):
+        raise BeyondPrecision(
+            f"multiplier a = exp({log_a:.4g}) is below {MIN_MULTIPLIER:g}: "
+            "f = a^r and the quotient forms Phi/f leave double precision")
     if params.lam == 0:
         return FlowSpec("diagonal", log_alpha, log_beta, params.m)
     lam_hat = params.lam / params.beta**params.m

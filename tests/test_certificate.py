@@ -33,6 +33,7 @@ from biherm.potentials import (
     flow_spec_for,
     fundamental_annulus_sample,
 )
+from biherm.reporting import CHUNK
 from support import (
     check_integrability,
     d_one_form,
@@ -234,8 +235,8 @@ class TestLeeForms:
             return np.stack([zero, c, c, zero], axis=-1)
 
         class RescaledField(StructureField):
-            def assemble(self, pts):
-                s = StructureField.assemble(self, pts)
+            def assemble(self, pts, group=1):
+                s = StructureField.assemble(self, pts, group)
                 scale = np.exp(phi(pts))[..., None, None]
                 return replace(s, g=scale * s.g, f_plus=scale * s.f_plus,
                                f_minus=scale * s.f_minus)
@@ -300,6 +301,23 @@ class TestDifferentialBattery:
         for a, b in zip(lee_differentials(center, lee),
                         lee_differentials(nudged, lee)):
             assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) < 1e-9
+
+    def test_no_cloud_straddles_two_chunks(self):
+        # each chunk of rows is one integration with its own step sequence;
+        # 65-row clouds do not tile CHUNK = 8192 rows, and sample 126 of 127
+        # would put its +-h x1 arms in one chunk and its centre in the next.
+        # Whole clouds per chunk: it is integrated as if alone.
+        spec = flow_spec_for(CASE_B)
+        field = StructureField(spec, 0.3)
+        n = 127
+        assert 65 * n > CHUNK > 65 * (n - 1)
+        center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
+        together = lee_differentials(center, field.lee_forms(center))
+        last = center.subset([n - 1])
+        alone = lee_differentials(last, field.lee_forms(last))
+        for a, b in zip(together, alone):
+            a = a[n - 1:]
+            assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))) < 1e-9
 
     def test_flow_points_per_sample(self, monkeypatch):
         # one integration of the 65-point mixed cloud (its base row the

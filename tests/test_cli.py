@@ -198,7 +198,8 @@ class TestCertifyCommand:
         assert err.startswith("parse error:") and err.count("\n") == 1
         assert "10" in err
 
-    @pytest.mark.parametrize("argv", [["construct", "--t", "0.2"], ["certify"]])
+    @pytest.mark.parametrize("argv", [["construct", "--t", "0.2"], ["certify"],
+                                      ["sweep"]])
     def test_subnormal_multiplier_is_refused_in_one_line(self, tmp_path,
                                                          capsys, argv):
         # alpha = beta = 1.8e-161 gives a = 3.3e-322, so f = a^r and Phi/f
@@ -209,9 +210,20 @@ class TestCertifyCommand:
             warnings.simplefilter("always")
             code = main([*argv, "--config", path, "--samples", "2"])
         out, err = capsys.readouterr()
-        assert code == 2 and err == "" and not caught
-        reason = json.loads(out).get("refusal") or json.loads(out)["reason"]
-        assert reason.startswith("multiplier 3.26e-322 is below")
+        assert code == 4 and out == "" and not caught
+        assert err == ("numerical failure: multiplier a = exp(-740.2) is below "
+                       "1e-30: f = a^r and the quotient forms Phi/f leave "
+                       "double precision\n")
+
+    @pytest.mark.parametrize("modulus", [1e-40, 1.8124248049063527e-161])
+    def test_tiny_multiplier_still_classifies(self, tmp_path, capsys, modulus):
+        # classify does no flow numerics: a valid diagonal surface is case
+        # (a) at any modulus
+        path = write(tmp_path, "tiny.json", {"alpha": modulus, "beta": modulus})
+        code = main(["classify", "--config", path])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out)["case"] == "a"
 
     @pytest.mark.parametrize("error", [DegenerateForm, SingularMetric])
     def test_degenerate_linear_algebra_is_numerical_failure(
