@@ -149,14 +149,12 @@ def _rel(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BihermitianSample:
     """Assembled structure at a batch of points, with per-point residual
-    inputs: metric, both complex structures, angle function, canonical and
+    inputs: metric, j_minus (j_plus is J_STD), angle function, canonical and
     quotient forms, and the positivity margin of the invariant part."""
 
     x: np.ndarray
     t: float
-    f: np.ndarray
     g: np.ndarray
-    j_plus: np.ndarray
     j_minus: np.ndarray
     p: np.ndarray
     f_plus: np.ndarray
@@ -188,9 +186,7 @@ def assemble_from_triple(triple: QuotientTriple,
     f_plus = np.einsum("ji,...jl->...il", J_STD, g)
     f_minus = np.einsum("...ji,...jl->...il", j_minus, g)
     return BihermitianSample(
-        x=state.x, t=state.t, f=triple.f, g=g,
-        j_plus=np.broadcast_to(J_STD, j_minus.shape),
-        j_minus=j_minus, p=p,
+        x=state.x, t=state.t, g=g, j_minus=j_minus, p=p,
         f_plus=f_plus, f_minus=f_minus,
         phi_g=phi_g, psi_plus_g=psi_plus_g, psi_minus_g=psi_minus_g,
         phi_check=triple.phi, psi_plus_check=triple.psi_plus,
@@ -254,17 +250,17 @@ class StructureField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def assemble(self, x: np.ndarray, group: int = 1) -> BihermitianSample:
+    def assemble(self, x: np.ndarray) -> BihermitianSample:
         """Assembled structure at x (batched, chunked, thread-mapped).  Each
-        chunk is one integration, with one step sequence; runs of ``group``
-        rows (a stencil cloud) never straddle two chunks."""
+        chunk is one integration, with one step sequence; an entry of the
+        leading axis (a stencil cloud) never straddles two chunks."""
         def run(chunk):
             state = integrate_flow(self.spec, self.t, chunk, self.ode_tol)
             s = assemble_from_triple(quotient_triple(self.spec, state), state)
             return {f.name: getattr(s, f.name) for f in fields(s) if f.name != "t"}
 
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return BihermitianSample(t=self.t, **chunked_map(run, x, self.threads, group))
+        return BihermitianSample(t=self.t, **chunked_map(run, x, self.threads))
 
     # -- Lee forms -------------------------------------------------------------
 
@@ -277,8 +273,7 @@ class StructureField:
         cloud = StencilCloud(center.x,
                              stencil_step(center.x, STENCIL_SCALE * self.fd_step),
                              mixed=True)
-        return lee_theta_from_cloud(center, cloud,
-                                    self.assemble(cloud.points, cloud.rows))
+        return lee_theta_from_cloud(center, cloud, self.assemble(cloud.points))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +387,13 @@ def check_differential_identities(field: StructureField,
     out: dict[str, np.ndarray] = {}
 
     # quotient Leibniz rules d(form) = tau ^ form
+    d_check = {}
     for name, attr in (("quotient_leibniz_phi", "phi_check"),
                        ("quotient_leibniz_psi_plus", "psi_plus_check"),
                        ("quotient_leibniz_psi_minus", "psi_minus_check")):
-        d_form = cloud.d_two_form(getattr(sc, attr))
+        d_check[attr] = cloud.d_two_form(getattr(sc, attr))
         target = wedge_one_two(center.tau, getattr(center, attr))
-        out[name] = _rel(d_form, target)
+        out[name] = _rel(d_check[attr], target)
 
     # canonical-factor equation for Omega^g = phi_g + i psi_plus_g
     d_omega = (cloud.d_two_form(sc.phi_g)
@@ -410,8 +406,8 @@ def check_differential_identities(field: StructureField,
                                                           omega))
 
     # (1,2)-part of d(phi_check + i psi_minus_check) with respect to j_minus
-    d_om = dense_from_three(cloud.d_two_form(sc.phi_check)
-                            + 1j * cloud.d_two_form(sc.psi_minus_check))
+    d_om = dense_from_three(d_check["phi_check"]
+                            + 1j * d_check["psi_minus_check"])
     pi_10 = 0.5 * (np.broadcast_to(np.eye(4), center.j_minus.shape)
                    - 1j * center.j_minus)
     pi_01 = np.conj(pi_10)

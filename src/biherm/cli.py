@@ -38,7 +38,7 @@ from .hopf_groups import classify, group_data_from_json
 from .inoue import degree_sign_report, inoue_data_from_json
 from .oracles import run_oracles
 from .potentials import PotentialField, flow_spec_for, fundamental_annulus_sample
-from .reporting import canonical_json, env_threads, write_text
+from .reporting import canonical_json, write_text
 
 EXIT_PASS = 0
 EXIT_PARSE = 1
@@ -142,22 +142,18 @@ def cmd_classify(args) -> int:
 
 
 def _certificate_config(args) -> CertificateConfig:
-    data = group_data_from_json(_load_config(args.config))
-    if args.threads is not None:
-        _at_least_one("--threads", args.threads)
-    if args.t is not None and not abs(args.t) <= MAX_ABS_T:
-        raise GroupDataError(f"--t must be finite with |t| <= {MAX_ABS_T:g}, "
-                             f"got {args.t!r}")
+    """The config that the flags of certify, sweep and construct share (sweep
+    has no --t); certify sets its own in cmd_certify."""
     cfg = CertificateConfig(
-        data=data,
-        t=args.t,
+        data=group_data_from_json(_load_config(args.config)),
+        t=getattr(args, "t", None),
         n=_at_least_one("--samples", args.samples),
         seed=args.seed,
         ode_tol=_finite_positive("--ode-tol", args.ode_tol),
-        fd_step=_stencil_step("--fd-step", args.fd_step),
-        tolerances=_tol_overrides(args.tol_tier),
-        threads=env_threads(args.threads),
     )
+    if cfg.t is not None and not abs(cfg.t) <= MAX_ABS_T:
+        raise GroupDataError(f"--t must be finite with |t| <= {MAX_ABS_T:g}, "
+                             f"got {cfg.t!r}")
     if args.t_grid:
         cfg.t_grid = _parse_t_grid(args.t_grid)
     return cfg
@@ -165,6 +161,10 @@ def _certificate_config(args) -> CertificateConfig:
 
 def cmd_certify(args) -> int:
     cfg = _certificate_config(args)
+    if args.threads is not None:  # else BIHERM_THREADS (env_threads)
+        cfg.threads = _at_least_one("--threads", args.threads)
+    cfg.fd_step = _stencil_step("--fd-step", args.fd_step)
+    cfg.tolerances = _tol_overrides(args.tol_tier)
     report = run_certificate(cfg)
     _emit(report.to_json_dict(), args.out)
     if report.refusal is not None:
@@ -251,6 +251,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise GroupDataError(message)
 
 
+_FLAGS = {
+    "--config": dict(required=True, help="JSON group data"),
+    "--seed": dict(type=int, default=7),
+    "--samples": dict(type=int, default=200),
+    "--t": dict(type=float, default=None),
+    "--t-grid": dict(default=None, help="a:b:step"),
+    "--ode-tol": dict(type=float, default=1e-10),
+    "--fd-step": dict(type=float, default=1e-3),
+    "--tol-tier": dict(action="append", default=None, metavar="NAME=X"),
+    "--threads": dict(type=int, default=None,
+                      help="worker cap (default: BIHERM_THREADS or 1)"),
+}
+_SWEEP = ("--config", "--seed", "--samples", "--t-grid", "--ode-tol")
+#: Each command and the flags it reads, besides --out.
+COMMANDS = {
+    "classify": (cmd_classify, ("--config",)),
+    "certify": (cmd_certify, (*_SWEEP, "--t", "--fd-step", "--tol-tier",
+                              "--threads")),
+    "sweep": (cmd_sweep, _SWEEP),
+    "construct": (cmd_construct, (*_SWEEP, "--t")),
+    "inoue": (cmd_inoue, ("--config", "--seed", "--samples")),
+    "oracle": (cmd_oracle, ("--seed",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="biherm",
@@ -258,28 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and numerical certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("classify", cmd_classify, True),
-        ("certify", cmd_certify, True),
-        ("sweep", cmd_sweep, True),
-        ("construct", cmd_construct, True),
-        ("inoue", cmd_inoue, True),
-        ("oracle", cmd_oracle, False),
-    ):
-        p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON group data")
+    for name, (fn, flags) in COMMANDS.items():
+        # no abbreviations: sweep would read --t as --t-grid
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-grid", default=None, help="a:b:step")
-        p.add_argument("--ode-tol", type=float, default=1e-10)
-        p.add_argument("--fd-step", type=float, default=1e-3)
-        p.add_argument("--tol-tier", action="append", default=None,
-                       metavar="NAME=X")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: BIHERM_THREADS or 1)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed < 0:  # numpy's generators reject a negative seed
+        if "seed" in args and args.seed < 0:  # numpy rejects a negative seed
             raise GroupDataError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except (GroupDataError, ConstraintViolation) as exc:

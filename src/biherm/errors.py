@@ -43,7 +43,8 @@ class NotPositive(BihermError):
 
 class BeyondPrecision(BihermError):
     """Valid group data whose numerics leave double precision: a contraction
-    multiplier too small for the potential and the quotient forms."""
+    multiplier too small for the potential and the quotient forms, or a
+    diagonal flow whose dd^c f loses its positivity to roundoff."""
 
 
 class StepSizeUnderflow(BihermError):

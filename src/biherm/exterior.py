@@ -247,7 +247,7 @@ class StencilCloud:
     and (+-h/2, +-h/2) of each coordinate plane and the base point itself
     (65 rows), so that a field evaluated on the cloud supplies the centre
     of its own second differences (for the flow: one step sequence).
-    ``rows`` is that count; ``points`` holds the clouds one after another.
+    ``points`` has shape x.shape[:-1] + (rows, 4), one cloud per base point.
 
     Each derivative is a central difference at steps h and h/2 (weights as
     in Fornberg 1988, *Generation of finite difference formulas on
@@ -278,19 +278,17 @@ class StencilCloud:
                     disp[rows, plane] = scale * self._CORNERS
         self.base_shape = x.shape[:-1]
         self.h = h
-        self.rows = disp.shape[0]
-        pts = x[..., None, :] + h[..., None, None] * disp
-        self.points = pts.reshape(-1, 4)
+        self.points = x[..., None, :] + h[..., None, None] * disp
 
     def _at(self, values: np.ndarray, rows) -> np.ndarray:
         """Entries of values (evaluated at self.points) at the given rows of
-        each base point's cloud, on an axis after the batch axes."""
-        v = values.reshape(self.base_shape + (self.rows,) + values.shape[1:])
-        return np.take(v, rows, axis=len(self.base_shape))
+        each base point's cloud, on the row axis after the batch axes."""
+        return np.take(values, rows, axis=len(self.base_shape))
 
     def _step(self, values: np.ndarray) -> np.ndarray:
         """h shaped to broadcast against the arrays that _at returns."""
-        return self.h.reshape(self.base_shape + (1,) * values.ndim)
+        return self.h.reshape(self.base_shape
+                              + (1,) * (values.ndim - len(self.base_shape)))
 
     def partials(self, values: np.ndarray) -> np.ndarray:
         """values evaluated at self.points -> derivative array with the
@@ -319,7 +317,7 @@ class StencilCloud:
 
         mixed_h = corners(0) / (4.0 * h2)
         mixed_half = corners(1) / h2
-        out = np.empty(self.base_shape + (4, 4) + values.shape[1:],
+        out = np.empty(self.base_shape + (4, 4) + values.shape[nb + 1:],
                        dtype=diag_h.dtype)
         lead = (slice(None),) * nb
         i, j = np.array(self._PAIRS).T

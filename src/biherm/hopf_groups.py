@@ -417,12 +417,3 @@ def jacobian(elem: GroupElement, x: np.ndarray) -> np.ndarray:
     hol[..., 0, 1] = cn * m * z[..., 1] ** (m - 1)
     hol[..., 1, 1] = bn
     return realify(hol)
-
-
-def canonical_multiplier(elem: GroupElement) -> complex:
-    """Multiplier of the standard holomorphic 2-form dz1^dz2 under pullback:
-    (alpha*beta)^n for contraction powers, det(h) for unitary elements."""
-    if isinstance(elem, UnitaryElement):
-        return complex(np.linalg.det(elem.mat))
-    p = elem.params
-    return (p.alpha * p.beta) ** elem.n

@@ -385,8 +385,9 @@ class PotentialField:
         return fj.value, fj.grad, fj.hess
 
     def potential(self, x: np.ndarray) -> PotentialEval:
-        """r, f and dd^c f at x; raises NotPlurisubharmonic unless dd^c f is
-        positive definite at every point."""
+        """r, f and dd^c f at x; raises unless dd^c f is positive definite at
+        every point: NotPlurisubharmonic for a shear (|lambda| too large),
+        BeyondPrecision for a diagonal flow (where it is roundoff)."""
         x = np.asarray(x, dtype=float)
         rj = self.radial_jet(x, self.solve(x))
         fj = self._f_jet(rj)
@@ -394,11 +395,13 @@ class PotentialField:
         lck = ddc / fj.value[..., None, None]
         margin = min_metric_eigenvalue(metric_from_form(ddc, J_STD))
         if np.any(margin <= 0.0):
-            raise NotPlurisubharmonic(
-                "dd^c f is not positive definite at a sample point "
-                f"(min eigenvalue {float(np.min(margin)):.3e}); "
-                "reduce |lambda| and rerun"
-            )
+            found = ("dd^c f is not positive definite at a sample point "
+                     f"(min eigenvalue {float(np.min(margin)):.3e})")
+            if self.spec.kind == "diagonal":
+                raise BeyondPrecision(
+                    f"{found}; for a diagonal flow it is in exact arithmetic, "
+                    "so this is roundoff beyond double precision")
+            raise NotPlurisubharmonic(f"{found}; reduce |lambda| and rerun")
         return PotentialEval(x, rj, fj, ddc, lck, margin)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,19 +68,18 @@ def env_threads(override: int | None = None) -> int:
         return 1
 
 
-def chunked_map(fn, x: np.ndarray, threads: int = 1, group: int = 1) -> dict:
-    """Apply ``fn`` to fixed-size slices of the leading axis and stitch the
-    dicts of arrays it returns back in order.
+def chunked_map(fn, x: np.ndarray, threads: int = 1) -> dict:
+    """Apply ``fn`` to slices of the leading axis of points x (n, ..., 4)
+    and stitch the dicts of arrays it returns back in order.
 
-    A slice is CHUNK rows rounded down to a multiple of ``group`` (at least
-    one group), so no run of ``group`` consecutive rows from row 0 on is
-    split between two calls of ``fn``.  ``fn`` must be pure; chunk size
-    never depends on the thread count, so the output is bitwise identical
-    for any pool size.
+    A slice holds at most CHUNK points, and at least one entry of the
+    leading axis, which is never split between two calls of ``fn``.  ``fn``
+    must be pure; chunk size never depends on the thread count, so the
+    output is bitwise identical for any pool size.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    size = max(group, CHUNK - CHUNK % group)
+    size = max(1, CHUNK // math.prod(x.shape[1:-1]))
     bounds = [(i, min(i + size, n)) for i in range(0, n, size)]
     if len(bounds) <= 1 or threads <= 1:
         parts = [fn(x[a:b]) for a, b in bounds]

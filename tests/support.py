@@ -21,6 +21,7 @@ from biherm.exterior import (
     nijenhuis_from_partials,
     stencil_step,
 )
+from biherm.hopf_groups import UnitaryElement
 from biherm.jets import JetScalar, jet_constant, jet_variables
 from biherm.potentials import PotentialField
 
@@ -187,3 +188,19 @@ def g_jet5(spec, r: np.ndarray, x: np.ndarray) -> JetScalar:
         + z2.abs2() * (jr * (-2.0 * lb)).exp()
         - 1.0
     )
+
+
+# ---------------------------------------------------------------------------
+# deck group
+# ---------------------------------------------------------------------------
+
+
+def canonical_multiplier(elem) -> complex:
+    """Multiplier of the standard holomorphic 2-form dz1^dz2 under pullback:
+    (alpha*beta)^n for contraction powers, det(h) for unitary elements.
+    Its positivity on the whole group is what real_type_check decides in
+    closed form."""
+    if isinstance(elem, UnitaryElement):
+        return complex(np.linalg.det(elem.mat))
+    p = elem.params
+    return (p.alpha * p.beta) ** elem.n

@@ -33,7 +33,7 @@ from biherm.potentials import (
     flow_spec_for,
     fundamental_annulus_sample,
 )
-from biherm.reporting import CHUNK
+from biherm.reporting import CHUNK, chunked_map
 from support import (
     check_integrability,
     d_one_form,
@@ -154,13 +154,13 @@ class TestLeeForms:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 4))
         cloud = StencilCloud(x, np.full(5, 1e-3))
-        k = cloud.points.shape[0]
+        k = cloud.points.shape[:-1]
         center = SimpleNamespace(g=np.broadcast_to(np.eye(4), (5, 4, 4)),
                                  j_minus=np.broadcast_to(J_STD, (5, 4, 4)))
-        sc = SimpleNamespace(g=np.broadcast_to(np.eye(4), (k, 4, 4)),
-                             j_minus=np.broadcast_to(J_STD, (k, 4, 4)),
-                             f_plus=np.broadcast_to(KAHLER_STD, (k, 4, 4)),
-                             f_minus=np.broadcast_to(KAHLER_STD, (k, 4, 4)))
+        sc = SimpleNamespace(g=np.broadcast_to(np.eye(4), k + (4, 4)),
+                             j_minus=np.broadcast_to(J_STD, k + (4, 4)),
+                             f_plus=np.broadcast_to(KAHLER_STD, k + (4, 4)),
+                             f_minus=np.broadcast_to(KAHLER_STD, k + (4, 4)))
         lee = lee_theta_from_cloud(center, cloud, sc)
         assert np.max(np.abs(lee.theta_plus)) < 1e-12
         assert np.max(np.abs(lee.theta_minus)) < 1e-12
@@ -235,8 +235,8 @@ class TestLeeForms:
             return np.stack([zero, c, c, zero], axis=-1)
 
         class RescaledField(StructureField):
-            def assemble(self, pts, group=1):
-                s = StructureField.assemble(self, pts, group)
+            def assemble(self, pts):
+                s = StructureField.assemble(self, pts)
                 scale = np.exp(phi(pts))[..., None, None]
                 return replace(s, g=scale * s.g, f_plus=scale * s.f_plus,
                                f_minus=scale * s.f_minus)
@@ -301,6 +301,24 @@ class TestDifferentialBattery:
         for a, b in zip(lee_differentials(center, lee),
                         lee_differentials(nudged, lee)):
             assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) < 1e-9
+
+    @pytest.mark.parametrize("shape, slices", [
+        ((CHUNK + 1, 4), [CHUNK, 1]),
+        # 126 clouds of 65 points fill 8190 of the CHUNK = 8192
+        ((127, 65, 4), [126, 1]),
+        ((3, 2, 65, 4), [3]),
+    ])
+    def test_chunks_hold_whole_entries_of_the_leading_axis(self, shape,
+                                                           slices):
+        seen = []
+
+        def record(part):
+            seen.append(part.shape[0])
+            return {"x": part}
+
+        x = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        assert np.array_equal(chunked_map(record, x, threads=2)["x"], x)
+        assert sorted(seen, reverse=True) == slices
 
     def test_no_cloud_straddles_two_chunks(self):
         # each chunk of rows is one integration with its own step sequence;

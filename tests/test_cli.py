@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import biherm.cli
 from biherm.certificate import DEFAULT_TOLERANCES
-from biherm.cli import main
+from biherm.cli import build_parser, main
 from biherm.errors import DegenerateForm, SingularMetric
 
 ROOT3 = float(np.sqrt(3) / 2)
@@ -79,6 +79,51 @@ class TestClassifyCommand:
         assert "beta" in capsys.readouterr().err
 
 
+SWEEP_FLAGS = {"--config", "--out", "--seed", "--samples", "--t-grid",
+               "--ode-tol"}
+COMMAND_FLAGS = {
+    "classify": {"--config", "--out"},
+    "certify": SWEEP_FLAGS | {"--t", "--fd-step", "--tol-tier", "--threads"},
+    "sweep": SWEEP_FLAGS,
+    "construct": SWEEP_FLAGS | {"--t"},
+    "inoue": {"--config", "--out", "--seed", "--samples"},
+    "oracle": {"--out", "--seed"},
+}
+
+
+def parser_flags():
+    """The long options of each subcommand of build_parser()."""
+    sub = next(a for a in build_parser()._actions if a.choices)
+    return {name: {opt for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
+
+
+class TestFlagSets:
+    def test_each_command_has_the_flags_it_reads(self):
+        flags = parser_flags()
+        assert flags == COMMAND_FLAGS
+        assert sum(len(v) for v in flags.values()) == 31
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--samples", "0"],
+        ["classify", "--config", "CONFIG", "--t", "0.2"],
+        ["sweep", "--config", "CONFIG", "--tol-tier", "anticommutator=1"],
+        ["construct", "--config", "CONFIG", "--threads", "2"],
+        # no abbreviation: sweep does not read --t as --t-grid
+        ["sweep", "--config", "CONFIG", "--t", "0:0.5:0.1"],
+        ["certify", "--config", "CONFIG", "--sample", "2"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_parse_error(
+            self, tmp_path, capsys, argv):
+        path = write(tmp_path, "b.json", CASE_B_DOC)
+        code = main([path if a == "CONFIG" else a for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: unrecognized arguments: ")
+        assert err.count("\n") == 1
+
+
 def assert_oversized_shear_refused(tmp_path, capsys, argv):
     # refused before any flow, with or without a fixed t
     doc = dict(CASE_C_DOC, **{"lambda": 100.0})
@@ -116,6 +161,17 @@ class TestCertifyCommand:
     def test_oversized_shear_refused_by_other_commands(self, tmp_path, capsys,
                                                        argv):
         assert_oversized_shear_refused(tmp_path, capsys, argv)
+
+    def test_diagonal_roundoff_is_numerical_failure(self, tmp_path, capsys):
+        # dd^c f > 0 is a theorem for a diagonal flow (lambda = 0): a
+        # negative eigenvalue at |alpha| = 1e-15 is roundoff, not the shear
+        path = write(tmp_path, "a.json", {"alpha": 1e-15, "beta": 0.9})
+        code = main(["construct", "--config", path, "--samples", "8",
+                     "--t", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "lambda" not in err
 
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -174,12 +230,15 @@ class TestCertifyCommand:
     def test_bad_documents_are_parse_errors(self, tmp_path, capsys, command,
                                             doc):
         # non-finite numbers and non-list H or generators are refused by the
-        # parsers, before any classification or flow
-        code = main([command, "--config", write(tmp_path, "doc.json", doc),
-                     "--samples", "2"])
+        # document parsers, before any classification or flow
+        argv = [command, "--config", write(tmp_path, "doc.json", doc)]
+        if "--samples" in COMMAND_FLAGS[command]:
+            argv += ["--samples", "2"]
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("parse error:") and err.count("\n") == 1
+        assert "unrecognized arguments" not in err
 
     @pytest.mark.parametrize("argv", [
         ["construct", "--samples", "1", "--t", "1e3"],
@@ -277,14 +336,20 @@ FUZZ_DOCS = {"b": CASE_B_DOC, "c": CASE_C_DOC, "not_real": NOT_REAL_DOC,
 
 
 @st.composite
-def fuzz_flags(draw):
-    # --samples is always small, so that every sweep stays cheap
-    flags = [f"--samples={draw(st.integers(-2, 2))}"]
+def fuzz_argv(draw):
+    """A command and flags of its own, with drawn values."""
+    command = draw(st.sampled_from(["classify", "sweep", "construct",
+                                    "certify"]))
+    own = COMMAND_FLAGS[command]
+    flags = []
+    if "--samples" in own:
+        # always small, so that every flow stays cheap
+        flags.append(f"--samples={draw(st.integers(-2, 2))}")
     for flag, text in (("--t-grid", T_GRID_TEXT), ("--t", NUMBER_TEXT),
                        ("--tol-tier", TOL_TIER_TEXT), ("--seed", SEED_TEXT)):
-        if draw(st.booleans()):
+        if flag in own and draw(st.booleans()):
             flags.append(f"{flag}={draw(text)}")
-    return flags
+    return command, flags
 
 
 @pytest.fixture(scope="module")
@@ -363,17 +428,19 @@ def fuzz_dir(tmp_path_factory):
 
 
 class TestArgvFuzz:
-    @given(command=st.sampled_from(["classify", "sweep"]),
-           doc=st.sampled_from(sorted(FUZZ_DOCS)), flags=fuzz_flags())
+    @given(argv=fuzz_argv(), doc=st.sampled_from(sorted(FUZZ_DOCS)))
     @settings(max_examples=60, deadline=None)
-    def test_every_argv_ends_in_a_documented_exit(self, fuzz_configs, command,
-                                                  doc, flags):
+    def test_every_argv_ends_in_a_documented_exit(self, fuzz_configs, argv,
+                                                  doc):
+        command, flags = argv
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main([command, "--config", fuzz_configs[doc], *flags])
         assert code in range(6)
         assert err.getvalue().count("\n") <= 1
         assert "Traceback" not in err.getvalue()
+        # every drawn flag is the command's own: argparse refuses none
+        assert "unrecognized arguments" not in err.getvalue()
 
     @given(argv_doc=st.one_of(
         st.tuples(st.just(["classify"]), GROUP_DOCS),

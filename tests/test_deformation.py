@@ -232,7 +232,7 @@ class TestDop853:
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(7, CASE_B, 4)
         cloud = StencilCloud(x, stencil_step(x, 3e-3), mixed=True)
-        assert cloud.points.shape == (65 * 4, 4)
+        assert cloud.points.shape == (4, 65, 4)
         seen = counting_rhs(monkeypatch)
         integrate_flow(spec, 0.5, cloud.points)
         assert len(seen) <= 121
@@ -307,7 +307,7 @@ class TestQuotientTriple:
         x = np.array([1.0, 0.0, 0.0, 0.0])
         cloud = StencilCloud(x.reshape(1, 4), stencil_step(x.reshape(1, 4), 1e-3))
         f_cloud = pf.f_value(cloud.points)
-        d = cloud.d_two_form(HOLO_IM / f_cloud[:, None, None])[0]
+        d = cloud.d_two_form(HOLO_IM / f_cloud[..., None, None])[0]
         pot = pf.potential(x.reshape(1, 4))
         tau = -pot.f.grad[0] / pot.f.value[0]
         target = wedge_one_two(tau, HOLO_IM / pot.f.value[0])

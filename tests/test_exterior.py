@@ -213,14 +213,14 @@ def _cloud_values(field, x, h):
     x = np.asarray(x, dtype=float)[None]
     cloud = StencilCloud(x, stencil_step(x, h))
     return cloud, np.stack([np.asarray(field(p), dtype=float)
-                            for p in cloud.points])
+                            for p in cloud.points[0]])[None]
 
 
 def exterior_derivative(field, x, h=1e-3):
     """d of a per-point 1- or 2-form field at x: a 2-form, or the sorted-
     triple components of a 3-form."""
     cloud, values = _cloud_values(field, x, h)
-    if values.ndim == 2:
+    if values.ndim == 3:  # (1, rows, 4): a 1-form
         return d_one_form(cloud, values)[0]
     return cloud.d_two_form(values)[0]
 
@@ -307,7 +307,7 @@ class TestSecondPartials:
 
         x = rng.standard_normal((3, 2, 4)) * 0.5
         cloud = StencilCloud(x, np.full((3, 2), 0.1), mixed=True)
-        assert cloud.points.shape == (3 * 2 * 65, 4)
+        assert cloud.points.shape == (3, 2, 65, 4)
         hess = cloud.second_partials(field(cloud.points))
         exact = 12.0 * np.einsum("...k,...l,ijkl->...ij", x, x, sym4) + 2.0 * quad
         assert hess.shape == (3, 2, 4, 4, 2)
@@ -319,7 +319,7 @@ class TestSecondPartials:
         x = np.array([[0.3, -0.2, 0.5, 0.1]])
         plain = StencilCloud(x, np.array([1e-2]))
         mixed = StencilCloud(x, np.array([1e-2]), mixed=True)
-        assert np.array_equal(mixed.points[:16], plain.points)
+        assert np.array_equal(mixed.points[:, :16], plain.points)
 
         def field(p):
             return np.sin(p @ np.array([1.0, 2.0, -1.0, 0.5]))

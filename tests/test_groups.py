@@ -11,7 +11,6 @@ from biherm.hopf_groups import (
     HopfGroupData,
     UnitaryElement,
     apply_group_element,
-    canonical_multiplier,
     classify,
     free_sphere_action_defect,
     group_closure,
@@ -19,6 +18,8 @@ from biherm.hopf_groups import (
     jacobian,
     real_type_check,
 )
+
+from support import canonical_multiplier
 
 EPS3 = np.exp(2j * np.pi / 3)
 

@@ -49,16 +49,6 @@ def test_every_module_level_import_is_used():
     assert not unused
 
 
-#: Public names of src/biherm that no other code in src/ reads, each with
-#: the reason it stays in the library.
-UNREFERENCED_BY_DESIGN = {
-    "canonical_multiplier": "the canonical representation of the deck group "
-                            "(the multiplier of dz1^dz2), whose positivity "
-                            "real_type_check decides in closed form; "
-                            "test_groups pins its values",
-}
-
-
 def _unreferenced_public_names(sources: dict[str, str]) -> list[str]:
     """Module-level functions and classes without a leading underscore that
     no module reads (by name or as an attribute) and no ``__all__`` lists."""
@@ -92,10 +82,7 @@ def test_every_public_name_has_a_caller_in_the_library():
     # code that only the tests call lives in tests/support.py
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    unreferenced = _unreferenced_public_names(sources)
-    assert sorted(set(unreferenced) - set(UNREFERENCED_BY_DESIGN)) == []
-    # an allowlist entry that gained a caller is stale
-    assert sorted(set(UNREFERENCED_BY_DESIGN) - set(unreferenced)) == []
+    assert _unreferenced_public_names(sources) == []
 
 
 def test_all_names_resolve():
