@@ -7,8 +7,8 @@ The package namespace holds what the command line uses; everything else is
 reached through its module (``biherm.exterior``, ``biherm.certificate``,
 ...)."""
 
-from .certificate import CertificateConfig, StructureField, run_certificate
-from .deformation import positivity_sweep, select_deformation_time
+from .certificate import CertificateConfig, run_certificate
+from .deformation import positivity_sweep
 from .errors import (
     AmbiguousRadialTime,
     GroupDataError,
@@ -21,7 +21,7 @@ from .hopf_groups import classify, group_data_from_json
 from .inoue import degree_sign_report, inoue_data_from_json
 from .oracles import run_oracles
 from .potentials import flow_spec_for, fundamental_annulus_sample
-from .reporting import canonical_json, env_threads, write_text
+from .reporting import canonical_json, write_text
 
 __all__ = [
     "AmbiguousRadialTime",
@@ -31,11 +31,9 @@ __all__ = [
     "NotPlurisubharmonic",
     "NotPositive",
     "StepSizeUnderflow",
-    "StructureField",
     "canonical_json",
     "classify",
     "degree_sign_report",
-    "env_threads",
     "flow_spec_for",
     "fundamental_annulus_sample",
     "group_data_from_json",
@@ -43,7 +41,6 @@ __all__ = [
     "positivity_sweep",
     "run_certificate",
     "run_oracles",
-    "select_deformation_time",
     "write_text",
 ]
 

@@ -21,7 +21,7 @@ from .certificate import (
     deform_samples,
     run_certificate,
 )
-from .deformation import positivity_sweep, quotient_triple
+from .deformation import DEFAULT_ODE_TOL, positivity_sweep, quotient_triple
 from .errors import (
     AmbiguousRadialTime,
     BeyondPrecision,
@@ -34,6 +34,7 @@ from .errors import (
     SingularMetric,
     StepSizeUnderflow,
 )
+from .exterior import DEFAULT_FD_STEP
 from .hopf_groups import classify, group_data_from_json
 from .inoue import degree_sign_report, inoue_data_from_json
 from .oracles import run_oracles
@@ -176,7 +177,7 @@ def cmd_sweep(args) -> int:
     cfg = _certificate_config(args)
     label = classify(cfg.data)
     if not label.accepted:
-        _emit(label.to_json(), None)
+        _emit(label.to_json(), args.out)
         return EXIT_CLASSIFY
     spec = flow_spec_for(cfg.data.contraction)
     samples = fundamental_annulus_sample(cfg.seed, spec, cfg.n)
@@ -253,12 +254,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 _FLAGS = {
     "--config": dict(required=True, help="JSON group data"),
-    "--seed": dict(type=int, default=7),
-    "--samples": dict(type=int, default=200),
+    "--seed": dict(type=int, default=CertificateConfig.seed),
+    "--samples": dict(type=int, default=CertificateConfig.n),
     "--t": dict(type=float, default=None),
     "--t-grid": dict(default=None, help="a:b:step"),
-    "--ode-tol": dict(type=float, default=1e-10),
-    "--fd-step": dict(type=float, default=1e-3),
+    "--ode-tol": dict(type=float, default=DEFAULT_ODE_TOL),
+    "--fd-step": dict(type=float, default=DEFAULT_FD_STEP),
     "--tol-tier": dict(action="append", default=None, metavar="NAME=X"),
     "--threads": dict(type=int, default=None,
                       help="worker cap (default: BIHERM_THREADS or 1)"),

@@ -16,17 +16,21 @@ SU(2); the admissible groups then split into three families:
 * case (c): lambda != 0 (so alpha = beta^m), H cyclic as in (b) but with
   m = k*ell - 1 so that H commutes with the contraction.
 
+``classify`` builds the closure of H once and checks real type on it
+(alpha*beta a positive real, det h = 1 for every h) before it picks the
+case; a label holds its kind, its invariants and, on rejection, one reason.
+
 Everything here is plain parameter validation and small linear algebra;
 tolerances are absolute (inputs are exact-ish user parameters, not data):
-1e-10 for unitarity and reality checks, Frobenius distance 1e-8 for matching
-group elements.
+1e-10 for unitarity and reality checks, largest entry difference 1e-8 for
+matching group elements.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .exterior import from_complex, realify, to_complex
 
 REALITY_TOL = 1e-10
 MATCH_TOL = 1e-8
-DEFAULT_CLOSURE_CAP = 1000
+CLOSURE_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,6 @@ class CaseLabel:
     ell: int | None = None
     k: int | None = None
     reason: str | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def accepted(self) -> bool:
@@ -187,79 +190,42 @@ def _is_unitary(g: np.ndarray) -> bool:
         return bool(np.max(np.abs(g @ g.conj().T - np.eye(2))) < REALITY_TOL)
 
 
-def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> list[np.ndarray]:
+def group_closure(gens) -> np.ndarray:
     """Close a list of unitary 2x2 matrices under multiplication.
 
-    Elements are matched by Frobenius distance < 1e-8; the identity is always
-    element 0 of the result.  Raises NotFinite when the closure exceeds
-    ``cap`` (an irrational rotation, for instance, never closes).
+    Returns the elements as one (order, 2, 2) array, in breadth-first order
+    from the identity, which is always element 0.  Two elements match when
+    their largest entry difference is < 1e-8.  Raises NotFinite when the
+    closure exceeds CLOSURE_CAP elements (an irrational rotation, for
+    instance, never closes).
     """
     gens = [np.asarray(g, dtype=complex).reshape(2, 2) for g in gens]
     for i, g in enumerate(gens):
         if not _is_unitary(g):
             raise GroupDataError(f"generator {i} is not unitary within {REALITY_TOL}")
 
-    elems: list[np.ndarray] = [np.eye(2, dtype=complex)]
-
-    def _find(h) -> bool:
-        return any(np.max(np.abs(h - e)) < MATCH_TOL for e in elems)
-
-    frontier = list(range(0, 1))
+    elems = np.empty((CLOSURE_CAP + 1, 2, 2), dtype=complex)
+    elems[0] = np.eye(2)
+    count = 1
+    frontier = [0]
     while frontier:
         new_frontier = []
         for idx in frontier:
             for g in gens:
                 h = elems[idx] @ g
-                if not _find(h):
-                    elems.append(h)
-                    new_frontier.append(len(elems) - 1)
-                    if len(elems) > cap:
-                        raise NotFinite(
-                            f"closure exceeded cap of {cap} elements; "
-                            "generators do not span a finite group"
-                        )
+                if np.any(np.max(np.abs(elems[:count] - h), axis=(1, 2))
+                          < MATCH_TOL):
+                    continue
+                elems[count] = h
+                new_frontier.append(count)
+                count += 1
+                if count > CLOSURE_CAP:
+                    raise NotFinite(
+                        f"closure exceeded cap of {CLOSURE_CAP} elements; "
+                        "generators do not span a finite group"
+                    )
         frontier = new_frontier
-    return elems
-
-
-def free_sphere_action_defect(closure) -> float:
-    """How close a nonidentity closure element comes to having eigenvalue 1.
-
-    Finite subgroups of SU(2) act freely on S^3, so for valid input this is
-    bounded away from zero; returns the minimum |eigenvalue - 1| over the
-    nonidentity elements (inf for the trivial group).
-    """
-    worst = np.inf
-    for h in closure[1:]:
-        eig = np.linalg.eigvals(h)
-        worst = min(worst, float(np.min(np.abs(eig - 1.0))))
-    return worst
-
-
-def real_type_check(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP):
-    """Whether the canonical representation gamma0 -> alpha*beta,
-    h -> det(h) lands in the positive reals.
-
-    True iff alpha*beta is real positive and every closure element of H has
-    unit determinant.  Returns (ok, diagnostics).
-    """
-    p = data.contraction
-    ab = p.alpha * p.beta
-    diagnostics: dict = {
-        "alpha_beta": [ab.real, ab.imag],
-        "alpha_beta_real_positive": bool(abs(ab.imag) < REALITY_TOL and ab.real > 0),
-    }
-    ok = diagnostics["alpha_beta_real_positive"]
-    if not ok:
-        diagnostics["reason"] = "alpha*beta is not a positive real"
-    closure = group_closure(data.h_generators, cap)
-    diagnostics["h_order"] = len(closure)
-    det_defect = max((abs(np.linalg.det(h) - 1.0) for h in closure), default=0.0)
-    diagnostics["max_det_defect"] = float(det_defect)
-    if det_defect >= REALITY_TOL:
-        ok = False
-        diagnostics.setdefault("reason", "H is not contained in SU(2) (det(h) != 1)")
-    return ok, diagnostics
+    return elems[:count]
 
 
 def _cyclic_order(closure) -> int | None:
@@ -281,7 +247,7 @@ def _cyclic_order(closure) -> int | None:
     return ell
 
 
-def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
+def classify(data: HopfGroupData) -> CaseLabel:
     """Total classification of group data into the admissible families.
 
     Every syntactically valid input receives exactly one label carrying a
@@ -293,16 +259,20 @@ def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
         return CaseLabel("invalid", reason=reason)
 
     try:
-        ok, diagnostics = real_type_check(data, cap)
-    except NotFinite as exc:
+        closure = group_closure(data.h_generators)
+    except (GroupDataError, NotFinite) as exc:
         return CaseLabel("invalid", reason=str(exc))
-    except GroupDataError as exc:
-        return CaseLabel("invalid", reason=str(exc))
-    if not ok:
-        return CaseLabel("not_real_type", reason=diagnostics.get("reason"),
-                         diagnostics=diagnostics)
 
-    closure = group_closure(data.h_generators, cap)
+    # real type: the canonical representation gamma0 -> alpha*beta,
+    # h -> det(h) lands in the positive reals
+    ab = p.alpha * p.beta
+    if not (abs(ab.imag) < REALITY_TOL and ab.real > 0):
+        return CaseLabel("not_real_type",
+                         reason="alpha*beta is not a positive real")
+    if np.max(np.abs(np.linalg.det(closure) - 1.0)) >= REALITY_TOL:
+        return CaseLabel("not_real_type",
+                         reason="H is not contained in SU(2) (det(h) != 1)")
+
     a = abs(p.alpha) * abs(p.beta)
 
     if abs(p.lam) > 0.0:
@@ -313,7 +283,6 @@ def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
                 "invalid",
                 reason="lambda != 0 requires H to be the standard cyclic "
                 "subgroup of S(U(1)xU(1))",
-                diagnostics=diagnostics,
             )
         # h gamma0 = gamma0 h iff lambda eps = lambda eps^-m iff ell | m + 1
         if (p.m + 1) % ell != 0:
@@ -321,16 +290,14 @@ def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
                 "invalid",
                 reason=f"H does not commute with the contraction: m = {p.m} "
                 f"is not of the form k*ell - 1 for ell = {ell}",
-                diagnostics=diagnostics,
             )
         return CaseLabel("c", a=float(abs(p.beta) ** (p.m + 1)), ell=ell,
-                         k=(p.m + 1) // ell, diagnostics=diagnostics)
+                         k=(p.m + 1) // ell)
 
     if abs(abs(p.alpha) - abs(p.beta)) < REALITY_TOL:
         # case (a): real type forces beta = conj(alpha); H may be any finite
         # subgroup of SU(2), which then acts freely on the unit sphere.
-        diagnostics["free_action_margin"] = free_sphere_action_defect(closure)
-        return CaseLabel("a", a=float(a), ell=len(closure), diagnostics=diagnostics)
+        return CaseLabel("a", a=float(a), ell=len(closure))
 
     # case (b): |alpha| < |beta| forces H inside U(1)xU(1) for the group to
     # act properly on the cover, so every element must be diagonal
@@ -340,7 +307,6 @@ def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
             "invalid",
             reason="|alpha| != |beta| requires H inside U(1)xU(1) "
             "(all elements diagonal)",
-            diagnostics=diagnostics,
         )
     chain = (abs(p.alpha) ** 2, a, abs(p.alpha))
     if not (0.0 < chain[0] < chain[1] < chain[2] < 1.0):
@@ -348,9 +314,8 @@ def classify(data: HopfGroupData, cap: int = DEFAULT_CLOSURE_CAP) -> CaseLabel:
             "invalid",
             reason="parameter chain 0 < |alpha|^2 < a < |alpha| < 1 fails: "
             f"{chain}",
-            diagnostics=diagnostics,
         )
-    return CaseLabel("b", a=float(a), ell=ell, diagnostics=diagnostics)
+    return CaseLabel("b", a=float(a), ell=ell)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,12 @@ from .exterior import (
     min_metric_eigenvalue,
     to_complex,
 )
-from .hopf_groups import ContractionParams
+from .hopf_groups import (
+    ContractionParams,
+    ContractionPower,
+    UnitaryElement,
+    apply_group_element,
+)
 from .jets import JetScalar
 
 ROOT_TOL = 1e-13
@@ -412,8 +417,6 @@ class PotentialField:
 def verify_rescaling(spec: FlowSpec, element, pot: PotentialEval) -> np.ndarray:
     """Per-sample relative residual of f(gamma z) = a^n f(z) at the points
     of pot."""
-    from .hopf_groups import ContractionPower, apply_group_element
-
     n = element.n if isinstance(element, ContractionPower) else 0
     f_x = pot.f.value
     f_img = PotentialField(spec).f_value(apply_group_element(element, pot.x))
@@ -427,8 +430,6 @@ def verify_h_invariance(spec: FlowSpec, elements, pot: PotentialEval) -> np.ndar
     For shear flows this passes exactly when eps^{m+1} = 1, i.e. under the
     m = k*ell - 1 constraint; the residual is order one otherwise.
     """
-    from .hopf_groups import UnitaryElement, apply_group_element
-
     pf = PotentialField(spec)
     f_x = pot.f.value
     worst = np.zeros(f_x.shape)

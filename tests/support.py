@@ -198,8 +198,8 @@ def g_jet5(spec, r: np.ndarray, x: np.ndarray) -> JetScalar:
 def canonical_multiplier(elem) -> complex:
     """Multiplier of the standard holomorphic 2-form dz1^dz2 under pullback:
     (alpha*beta)^n for contraction powers, det(h) for unitary elements.
-    Its positivity on the whole group is what real_type_check decides in
-    closed form."""
+    Its positivity on the whole group is the real-type check that classify
+    makes in closed form."""
     if isinstance(elem, UnitaryElement):
         return complex(np.linalg.det(elem.mat))
     p = elem.params

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biherm.cli
-from biherm.certificate import DEFAULT_TOLERANCES
+from biherm.certificate import DEFAULT_TOLERANCES, CertificateConfig
 from biherm.cli import build_parser, main
+from biherm.deformation import DEFAULT_ODE_TOL
 from biherm.errors import DegenerateForm, SingularMetric
+from biherm.exterior import DEFAULT_FD_STEP
 
 ROOT3 = float(np.sqrt(3) / 2)
 
@@ -78,6 +80,20 @@ class TestClassifyCommand:
         assert code == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_irrational_rotation_reaches_the_cap_quickly(self, tmp_path, capsys):
+        one = {"re": math.cos(1.0), "im": math.sin(1.0)}
+        doc = {"alpha": 0.5, "beta": 0.6,
+               "H": [[one, 0, 0, {"re": one["re"], "im": -one["im"]}]]}
+        start = time.perf_counter()
+        code = main(["classify", "--config", write(tmp_path, "r.json", doc)])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload == {"case": "invalid",
+                           "reason": "closure exceeded cap of 1000 elements; "
+                           "generators do not span a finite group"}
+        assert elapsed < 2.0
+
 
 SWEEP_FLAGS = {"--config", "--out", "--seed", "--samples", "--t-grid",
                "--ode-tol"}
@@ -104,6 +120,13 @@ class TestFlagSets:
         flags = parser_flags()
         assert flags == COMMAND_FLAGS
         assert sum(len(v) for v in flags.values()) == 31
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["certify", "--config", "CONFIG"])
+        assert args.seed == CertificateConfig.seed
+        assert args.samples == CertificateConfig.n
+        assert args.ode_tol == DEFAULT_ODE_TOL
+        assert args.fd_step == DEFAULT_FD_STEP
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--samples", "0"],
@@ -320,6 +343,14 @@ class TestSweepCommand:
         assert float(first[0]) == 0.0
         assert abs(float(first[1])) < 1e-12
         assert float(first[3]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_refusal_goes_to_out(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--config", write(tmp_path, "nr.json", NOT_REAL_DOC),
+                     "--samples", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["case"] == "not_real_type"
 
 
 NUMBER_TEXT = st.sampled_from(

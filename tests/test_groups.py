@@ -12,12 +12,11 @@ from biherm.hopf_groups import (
     UnitaryElement,
     apply_group_element,
     classify,
-    free_sphere_action_defect,
     group_closure,
     group_data_from_json,
     jacobian,
-    real_type_check,
 )
+from biherm import hopf_groups
 
 from support import canonical_multiplier
 
@@ -45,7 +44,6 @@ class TestGroupClosure:
         gens = [np.array([[0, 1], [-1, 0]], dtype=complex), np.diag([1j, -1j])]
         closure = group_closure(gens)
         assert len(closure) == 8
-        assert free_sphere_action_defect(closure) > 0.5
 
     def test_contains_identity_and_closed(self):
         closure = group_closure([diag_h(EPS3)])
@@ -61,21 +59,24 @@ class TestGroupClosure:
 
 
 class TestRealType:
+    """Real type (alpha*beta a positive real, det h = 1 on the closure of H),
+    as classify decides it."""
+
     def test_conjugate_pair_with_center(self):
         data = HopfGroupData(ContractionParams(0.3 + 0.4j, 0.3 - 0.4j),
                              (-np.eye(2),))
-        ok, diag = real_type_check(data)
-        assert ok and diag["h_order"] == 2
+        label = classify(data)
+        assert label.kind == "a" and label.ell == 2
 
     def test_determinant_minus_one_rejected(self):
         data = HopfGroupData(ContractionParams(0.5, 0.7), (np.diag([1j, 1j]),))
-        ok, diag = real_type_check(data)
-        assert not ok and "SU(2)" in diag["reason"]
+        label = classify(data)
+        assert label.kind == "not_real_type" and "SU(2)" in label.reason
 
     def test_imaginary_product_rejected(self):
         data = HopfGroupData(ContractionParams(0.5j, 0.6))
-        ok, diag = real_type_check(data)
-        assert not ok and "positive real" in diag["reason"]
+        label = classify(data)
+        assert label.kind == "not_real_type" and "positive real" in label.reason
 
     def test_invariant_under_normal_form_conjugation(self):
         # conjugating H by a diagonal unitary preserves det, hence the verdict
@@ -84,7 +85,7 @@ class TestRealType:
         data1 = HopfGroupData(ContractionParams(0.5, 0.6), (h,))
         data2 = HopfGroupData(ContractionParams(0.5, 0.6),
                               (u @ h @ u.conj().T,))
-        assert real_type_check(data1)[0] == real_type_check(data2)[0]
+        assert classify(data1) == classify(data2)
 
 
 class TestClassify:
@@ -128,7 +129,6 @@ class TestClassify:
         gens = (np.array([[0, 1], [-1, 0]], dtype=complex), np.diag([1j, -1j]))
         label = classify(HopfGroupData(ContractionParams(0.5, 0.5), gens))
         assert label.kind == "a" and label.ell == 8
-        assert label.diagnostics["free_action_margin"] > 0.5
 
     def test_not_real_type_labels(self):
         label = classify(HopfGroupData(ContractionParams(0.5j, 0.6)))
@@ -162,6 +162,62 @@ class TestClassify:
             label = classify(HopfGroupData(params))
             assert isinstance(label, CaseLabel)
             assert label.accepted or label.reason
+
+    @pytest.mark.parametrize("params, h, kind", [
+        (ContractionParams(0.3 + 0.4j, 0.3 - 0.4j), (-np.eye(2),), "a"),
+        (ContractionParams(0.5, 0.6), (diag_h(EPS3),), "b"),
+        (ContractionParams(0.6, 0.6, lam=0.1, m=1), (-np.eye(2),), "c"),
+        (ContractionParams(0.5, 0.7), (np.diag([1j, 1j]),), "not_real_type"),
+    ])
+    def test_builds_the_closure_once(self, monkeypatch, params, h, kind):
+        calls = []
+
+        def counting(gens):
+            calls.append(gens)
+            return group_closure(gens)
+
+        monkeypatch.setattr(hopf_groups, "group_closure", counting)
+        assert classify(HopfGroupData(params, h)).kind == kind
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("params, h, kind, reason", [
+        (ContractionParams(0.9, 0.6), (), "invalid",
+         "normal form requires 0 < |alpha| <= |beta|, got 0.9, 0.6"),
+        (ContractionParams(0.5, 1.2), (), "invalid",
+         "normal form requires |beta| < 1, got 1.2"),
+        (ContractionParams(0.5, 0.6, m=0), (), "invalid",
+         "m must be a positive integer, got 0"),
+        (ContractionParams(0.5, 0.6, lam=0.1, m=1), (), "invalid",
+         "resonance constraint lambda*(alpha - beta^m) = 0 violated "
+         "(residual 1.000e-02)"),
+        (ContractionParams(2.0**-1074, 0.5, lam=1.0, m=1074), (), "invalid",
+         "lambda / beta^m is beyond double precision"),
+        (ContractionParams(0.5, 0.6), (np.diag([2.0, 0.5]),), "invalid",
+         "generator 0 is not unitary within 1e-10"),
+        (ContractionParams(0.5, 0.6), (np.diag([np.exp(1j), np.exp(-1j)]),),
+         "invalid", "closure exceeded cap of 1000 elements; generators do "
+         "not span a finite group"),
+        (ContractionParams(0.5j, 0.6), (), "not_real_type",
+         "alpha*beta is not a positive real"),
+        (ContractionParams(0.5, 0.6), (np.diag([1j, 1j]),), "not_real_type",
+         "H is not contained in SU(2) (det(h) != 1)"),
+        (ContractionParams(0.6, 0.6, lam=0.1, m=1),
+         (np.array([[0, 1], [-1, 0]]),), "invalid",
+         "lambda != 0 requires H to be the standard cyclic subgroup of "
+         "S(U(1)xU(1))"),
+        (ContractionParams(0.6, 0.6, lam=0.1, m=1), (np.diag([1j, -1j]),),
+         "invalid", "H does not commute with the contraction: m = 1 is not "
+         "of the form k*ell - 1 for ell = 4"),
+        (ContractionParams(0.5, 0.6), (np.array([[0, 1], [-1, 0]]),),
+         "invalid", "|alpha| != |beta| requires H inside U(1)xU(1) "
+         "(all elements diagonal)"),
+        (ContractionParams(1e-200, 0.6), (), "invalid",
+         "parameter chain 0 < |alpha|^2 < a < |alpha| < 1 fails: "
+         "(0.0, 5.999999999999999e-201, 1e-200)"),
+    ])
+    def test_refusal_reasons(self, params, h, kind, reason):
+        label = classify(HopfGroupData(params, h))
+        assert label.to_json() == {"case": kind, "reason": reason}
 
 
 class TestGroupAction:

@@ -85,6 +85,42 @@ def test_every_public_name_has_a_caller_in_the_library():
     assert _unreferenced_public_names(sources) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def _unread_dataclass_fields(sources: dict[str, str]) -> list[str]:
+    """``Class.field`` for each dataclass field that no module reads, either
+    as an attribute or through a string constant (``getattr`` names,
+    ``asdict`` keys)."""
+    fields, read = set(), set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update((node.name, stmt.target.id) for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and isinstance(stmt.target, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_unread_dataclass_field_detector():
+    sources = {"a.py": "@dataclass(frozen=True)\nclass P:\n    x: int\n"
+                       "    y: int = 0\n    z: int = 0\n    w: int = 0\n"
+                       "def f(p):\n    p.w = 1\n    return p.x + getattr(p, 'y')\n"}
+    assert _unread_dataclass_fields(sources) == ["P.w", "P.z"]
+
+
+def test_every_dataclass_field_has_a_reader():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_dataclass_fields(sources) == []
+
+
 def test_all_names_resolve():
     assert biherm.__all__
     for name in biherm.__all__:
