@@ -237,7 +237,7 @@ class StructureField:
 
     Every evaluation integrates the deformation flow from scratch at the
     requested points, so finite differences across this field see the whole
-    construction (root solve, jets, flow, pullback, linear algebra).
+    construction (root solve, flow, pullback, linear algebra).
     """
 
     def __init__(self, spec: FlowSpec, t: float, ode_tol: float = DEFAULT_ODE_TOL,
@@ -562,7 +562,7 @@ def deform_samples(spec: FlowSpec, pot: PotentialEval,
     when cfg.t is given)."""
     if cfg.t is None:
         return select_deformation_time(spec, pot, cfg.t_grid, cfg.ode_tol)
-    state, = integrate_flow_chain(spec, (float(cfg.t),), pot.x, pot.r.value,
+    state, = integrate_flow_chain(spec, (float(cfg.t),), pot.x, pot.r,
                                   cfg.ode_tol)
     return state, None, None
 

@@ -21,7 +21,12 @@ from .certificate import (
     deform_samples,
     run_certificate,
 )
-from .deformation import DEFAULT_ODE_TOL, positivity_sweep, quotient_triple
+from .deformation import (
+    DEFAULT_ODE_TOL,
+    MAX_ABS_T,
+    positivity_sweep,
+    quotient_triple,
+)
 from .errors import (
     AmbiguousRadialTime,
     BeyondPrecision,
@@ -50,10 +55,6 @@ EXIT_TIERS = 5
 
 #: Most points a --t-grid may have (each is one sweep row).
 MAX_T_GRID_POINTS = 10_000
-#: Largest |t| that --t and the --t-grid bounds accept.  The deformation is
-#: a small-t construction (the default grid ends at 0.5), and the flow's
-#: work grows with |t|: construct --samples 1 --t 10 takes under a second.
-MAX_ABS_T = 10.0
 
 
 def _emit(payload: dict, out_path: str | None) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositive, StepSizeUnderflow
+from .errors import GroupDataError, NotPositive, StepSizeUnderflow
 from .exterior import (
     HOLO_IM,
     HOLO_RE,
@@ -46,6 +46,10 @@ from .potentials import FlowSpec, PotentialEval, PotentialField
 DEFAULT_ODE_TOL = 1e-10
 DEFAULT_T_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
 _MAX_STEPS = 100_000
+#: Largest deformation time |t| the flow integrates.  The deformation is a
+#: small-t construction (the default grid ends at 0.5), and the flow's work
+#: grows with |t|: construct --samples 1 --t 10 takes under a second.
+MAX_ABS_T = 10.0
 
 @dataclass(frozen=True)
 class DeformationState:
@@ -221,6 +225,10 @@ def _flow_states(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r0 = np.reshape(r, x.shape[:-1])
     ts = [float(t) for t in t_values]
+    beyond = [t for t in ts if not abs(t) <= MAX_ABS_T]
+    if beyond:
+        raise GroupDataError(f"deformation time t = {beyond[0]!r} must be "
+                             f"finite with |t| <= {MAX_ABS_T:g}")
     if any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("t_values must be nondecreasing")
     pf = PotentialField(spec)
@@ -290,7 +298,7 @@ def _sweep(spec: FlowSpec, t_grid, pot: PotentialEval, ode_tol: float):
     """(state, row) per distinct grid time, in increasing order, along one
     trajectory of the samples of pot."""
     ts = sorted({float(t) for t in t_grid})
-    for state in integrate_flow_chain(spec, ts, pot.x, pot.r.value, ode_tol):
+    for state in integrate_flow_chain(spec, ts, pot.x, pot.r, ode_tol):
         _, _, margin, p = structure_from_triple(quotient_triple(spec, state))
         yield state, SweepRow(
             t=state.t,

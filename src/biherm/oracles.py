@@ -92,8 +92,8 @@ def equal_moduli_potential_oracle(seed: int = 7, n: int = 200) -> dict:
     pot = pf.potential(x)
     norm2 = np.sum(x**2, axis=-1)
     r_closed = np.log(np.sqrt(norm2)) / np.log(abs(alpha))
-    r_residual = float(np.max(np.abs(pot.r.value - r_closed)))
-    f_residual = float(np.max(np.abs(pot.f.value - norm2) / norm2))
+    r_residual = float(np.max(np.abs(pot.r - r_closed)))
+    f_residual = float(np.max(np.abs(pot.f - norm2) / norm2))
     ddc_residual = float(np.max(np.abs(pot.ddc_f - 4.0 * KAHLER_STD)))
     return {
         "radial_time": r_residual,

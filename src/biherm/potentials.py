@@ -12,9 +12,10 @@ radial time r(z) is the unique root of
 
     G(r, z) = |phi_{-r}(z)|^2 - 1 = 0,
 
-found by bracketing/bisection plus Newton polish; its first and second
-derivatives follow from the implicit function theorem applied to the 2-jet
-of G in the five variables (r, x).  G depends on the flow only through
+found by Newton's method kept inside the one cell of a 64-point scan in
+which G changes sign; its first and second derivatives follow from the
+implicit function theorem applied to the gradient and Hessian of G in the
+five variables (r, x).  G depends on the flow only through
 moduli, so r is independent of the chosen arguments of alpha^t, beta^t.
 
 The potential f = a^r (a = |alpha||beta| for diagonal flows, |beta|^{m+1}
@@ -50,11 +51,13 @@ from .hopf_groups import (
     UnitaryElement,
     apply_group_element,
 )
-from .jets import JetScalar
 
 ROOT_TOL = 1e-13
-_BISECT_ITERS = 60
-_NEWTON_ITERS = 8
+#: A point's solve stops once its Newton step is at most
+#: _STEP_TOL * (1 + |r|), and after _NEWTON_ITERS steps at the latest; that
+#: many bisections of a scan cell would reach the same resolution.
+_NEWTON_ITERS = 64
+_STEP_TOL = 1e-15
 _SCAN_POINTS = 64
 #: Smallest multiplier a (f(gamma0 z) = a f(z)) the numerics represent.  The
 #: quotient forms scale like 1/f, with f = a^r down to a^2 on the deck
@@ -171,9 +174,9 @@ def _g_value_slope(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
 def _g_derivatives(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
     """Gradient and Hessian of G in (r, x1, y1, x2, y2), in closed form.
 
-    Same quantities as jet arithmetic on G (the tests pin the two against
-    each other); this avoids per-call jet temporaries on the flow
-    integrator's hot path.
+    Same quantities as jet arithmetic on G, which the tests keep as the
+    reference route; the closed form avoids per-call temporaries on the
+    flow integrator's hot path.
     """
     r = np.asarray(r, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -274,22 +277,29 @@ def _bracket(spec: FlowSpec, x: np.ndarray):
     return lo, hi
 
 
-def _scan_for_multiple_roots(spec: FlowSpec, lo, hi, x) -> None:
-    """Reject brackets in which G changes sign more than once (possible only
-    for shear flows with large |lambda|)."""
+def _sign_change_cell(spec: FlowSpec, lo, hi, x):
+    """The cell of a _SCAN_POINTS grid on the bracket [lo, hi] in which G
+    changes sign, with G < 0 at its lower and G >= 0 at its upper end.
+
+    Rejects brackets in which G changes sign more than once (possible only
+    for shear flows with large |lambda|).
+    """
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
     values = np.stack(
         [_g_value_slope(spec, lo + s * (hi - lo), x)[0] for s in grid], axis=0
     )
     signs = np.sign(values)
     signs[signs == 0.0] = 1.0
-    changes = np.sum(signs[1:] != signs[:-1], axis=0)
+    changed = signs[1:] != signs[:-1]
+    changes = np.sum(changed, axis=0)
     if np.any(changes > 1):
         idx = np.argwhere(changes > 1).ravel().tolist()
         raise AmbiguousRadialTime(
             f"radial-time equation has multiple roots at sample indices {idx}; "
             "the shear coefficient |lambda| is too large"
         )
+    cell = np.argmax(changed, axis=0)
+    return lo + grid[cell] * (hi - lo), lo + grid[cell + 1] * (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +308,15 @@ def _scan_for_multiple_roots(spec: FlowSpec, lo, hi, x) -> None:
 
 @dataclass(frozen=True)
 class PotentialEval:
-    """Potential data at a point set x, checked once: radial time and
-    potential as 2-jets, dd^c f, the conformally normalised form dd^c f / f,
-    and margin, the least eigenvalue of the metric of dd^c f (positive at
-    every point)."""
+    """Potential data at a point set x, checked once: radial time r,
+    potential f, dd^c f, the conformally normalised form dd^c f / f, and
+    margin, the least eigenvalue of the metric of dd^c f (positive at every
+    point).  The derivatives of f are ``PotentialField.value_grad_hess`` at
+    (x, r)."""
 
     x: np.ndarray
-    r: JetScalar
-    f: JetScalar
+    r: np.ndarray
+    f: np.ndarray
     ddc_f: np.ndarray
     lck_form: np.ndarray
     margin: np.ndarray
@@ -315,68 +326,50 @@ class PotentialField:
     """The radial time r and the potential f = a^r of one flow.
 
     ``solve`` performs the guarded cold start (bracket, multiple-root scan,
-    bisection, Newton polish); ``radial_jet`` and ``value_grad_hess`` take
-    derivatives at a known r with no root solve; ``f_value`` is f alone;
-    ``potential`` evaluates and checks a point set once.
+    safeguarded Newton); ``value_grad_hess`` takes f and its derivatives at a
+    known r with no root solve; ``f_value`` is f alone; ``potential``
+    evaluates and checks a point set once.
     """
 
     def __init__(self, spec: FlowSpec):
         self.spec = spec
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = _bracket(self.spec, x)
-        _scan_for_multiple_roots(self.spec, lo, hi, x)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            gmid, _ = _g_value_slope(self.spec, mid, x)
-            lo = np.where(gmid < 0.0, mid, lo)
-            hi = np.where(gmid < 0.0, hi, mid)
-        r = self._newton(0.5 * (lo + hi), x)
+        """Radial time r at x: Newton from the upper end of G's sign-change
+        cell, with a bisection step wherever Newton would leave the cell
+        (rtsafe; Press et al., Numerical Recipes, sec. 9.4).  Each point
+        stops at its own small Newton step, so its r does not depend on the
+        batch.  The root must meet |G| <= ROOT_TOL and dG/dr > 0."""
+        lo, hi = _sign_change_cell(self.spec, *_bracket(self.spec, x), x)
+        r = hi
+        moving = np.ones(np.shape(r), dtype=bool)
+        for _ in range(_NEWTON_ITERS):
+            value, slope = _g_value_slope(self.spec, r, x)
+            lo = np.where(value < 0.0, r, lo)
+            hi = np.where(value < 0.0, hi, r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = r - value / slope
+            newton = (lo <= step) & (step <= hi)
+            settled = newton & (np.abs(step - r) <= _STEP_TOL * (1.0 + np.abs(r)))
+            r = np.where(moving, np.where(newton, step, 0.5 * (lo + hi)), r)
+            moving &= ~settled
+            if not np.any(moving):
+                break
         value, slope = _g_value_slope(self.spec, r, x)
-        if np.any(np.abs(value) > ROOT_TOL):
+        unpolished = np.abs(value) > ROOT_TOL
+        if np.any(unpolished):
             raise AmbiguousRadialTime(
-                f"Newton polish failed, max |G| = {np.max(np.abs(value)):.3e}"
+                f"Newton polish failed at sample indices "
+                f"{np.argwhere(unpolished).ravel().tolist()}, "
+                f"max |G| = {np.max(np.abs(value)):.3e}"
             )
         if np.any(slope <= 0.0):
             raise AmbiguousRadialTime(
-                "dG/dr <= 0 at the root; monotonicity certificate failed"
+                f"dG/dr <= 0 at the roots of sample indices "
+                f"{np.argwhere(slope <= 0.0).ravel().tolist()}; "
+                "monotonicity certificate failed"
             )
         return r
-
-    def _newton(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        for _ in range(_NEWTON_ITERS):
-            value, slope = _g_value_slope(self.spec, r, x)
-            safe = np.where(slope > 0.0, slope, 1.0)
-            r = np.where(slope > 0.0, r - value / safe, r)
-        return r
-
-    def radial_jet(self, x: np.ndarray, r: np.ndarray) -> JetScalar:
-        """2-jet of r(z) via the implicit function theorem on G(r(z), z) = 0."""
-        grad, hess = _g_derivatives(self.spec, r, x)
-        gr = grad[..., 0]
-        gi = grad[..., 1:]
-        grr = hess[..., 0, 0]
-        gri = hess[..., 0, 1:]
-        gij = hess[..., 1:, 1:]
-        ri = -gi / gr[..., None]
-        cross = np.einsum("...i,...j->...ij", gri, ri)
-        rij = -(
-            gij
-            + cross
-            + np.swapaxes(cross, -1, -2)
-            + grr[..., None, None] * np.einsum("...i,...j->...ij", ri, ri)
-        ) / gr[..., None, None]
-        return JetScalar(np.asarray(r, dtype=float), ri, rij)
-
-    def _f_jet(self, rj: JetScalar) -> JetScalar:
-        """2-jet of f = a^r from the 2-jet of r (chain rule)."""
-        ln_a = self.spec.log_multiplier
-        f = np.exp(ln_a * rj.value)
-        grad = ln_a * f[..., None] * rj.grad
-        hess = ln_a * f[..., None, None] * (
-            rj.hess + ln_a * np.einsum("...i,...j->...ij", rj.grad, rj.grad)
-        )
-        return JetScalar(f, grad, hess)
 
     def f_value(self, x: np.ndarray) -> np.ndarray:
         """f = a^r at x: one root solve, no derivatives, no positivity check."""
@@ -385,19 +378,37 @@ class PotentialField:
 
     def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
         """(f, grad f, hess f) at points x of radial time r, without
-        positivity checks and without a root solve."""
-        fj = self._f_jet(self.radial_jet(x, r))
-        return fj.value, fj.grad, fj.hess
+        positivity checks and without a root solve.
+
+        The derivatives of r follow from the implicit function theorem on
+        G(r(x), x) = 0, those of f = a^r from the chain rule; both use the
+        one outer product grad r grad r^T.
+        """
+        grad, hess = _g_derivatives(self.spec, r, x)
+        g_r = grad[..., 0]
+        r_x = -grad[..., 1:] / g_r[..., None]
+        cross = hess[..., 0, 1:, None] * r_x[..., None, :]
+        r_x_r_x = r_x[..., :, None] * r_x[..., None, :]
+        r_xx = -(
+            hess[..., 1:, 1:]
+            + cross
+            + np.swapaxes(cross, -1, -2)
+            + hess[..., 0, 0, None, None] * r_x_r_x
+        ) / g_r[..., None, None]
+        ln_a = self.spec.log_multiplier
+        f = np.exp(ln_a * np.asarray(r, dtype=float))
+        return (f, ln_a * f[..., None] * r_x,
+                ln_a * f[..., None, None] * (r_xx + ln_a * r_x_r_x))
 
     def potential(self, x: np.ndarray) -> PotentialEval:
         """r, f and dd^c f at x; raises unless dd^c f is positive definite at
         every point: NotPlurisubharmonic for a shear (|lambda| too large),
         BeyondPrecision for a diagonal flow (where it is roundoff)."""
         x = np.asarray(x, dtype=float)
-        rj = self.radial_jet(x, self.solve(x))
-        fj = self._f_jet(rj)
-        ddc = ddc_from_hessian(fj.hess)
-        lck = ddc / fj.value[..., None, None]
+        r = self.solve(x)
+        f, _, hess = self.value_grad_hess(x, r)
+        ddc = ddc_from_hessian(hess)
+        lck = ddc / f[..., None, None]
         margin = min_metric_eigenvalue(metric_from_form(ddc, J_STD))
         if np.any(margin <= 0.0):
             found = ("dd^c f is not positive definite at a sample point "
@@ -407,7 +418,7 @@ class PotentialField:
                     f"{found}; for a diagonal flow it is in exact arithmetic, "
                     "so this is roundoff beyond double precision")
             raise NotPlurisubharmonic(f"{found}; reduce |lambda| and rerun")
-        return PotentialEval(x, rj, fj, ddc, lck, margin)
+        return PotentialEval(x, r, f, ddc, lck, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +429,7 @@ def verify_rescaling(spec: FlowSpec, element, pot: PotentialEval) -> np.ndarray:
     """Per-sample relative residual of f(gamma z) = a^n f(z) at the points
     of pot."""
     n = element.n if isinstance(element, ContractionPower) else 0
-    f_x = pot.f.value
+    f_x = pot.f
     f_img = PotentialField(spec).f_value(apply_group_element(element, pot.x))
     return np.abs(f_img - spec.multiplier**n * f_x) / f_x
 
@@ -431,7 +442,7 @@ def verify_h_invariance(spec: FlowSpec, elements, pot: PotentialEval) -> np.ndar
     m = k*ell - 1 constraint; the residual is order one otherwise.
     """
     pf = PotentialField(spec)
-    f_x = pot.f.value
+    f_x = pot.f
     worst = np.zeros(f_x.shape)
     for h in elements:
         elem = h if isinstance(h, UnitaryElement) else UnitaryElement(h)

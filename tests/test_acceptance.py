@@ -87,8 +87,8 @@ def test_criterion_1_oracle_suite():
     pot = PotentialField(spec_a).potential(x)
     norm2 = np.sum(x**2, axis=-1)
     closed_form = max(
-        float(np.max(np.abs(pot.f.value - norm2) / norm2)),
-        float(np.max(np.abs(pot.r.value - np.log(norm2) / (2 * np.log(0.5))))),
+        float(np.max(np.abs(pot.f - norm2) / norm2)),
+        float(np.max(np.abs(pot.r - np.log(norm2) / (2 * np.log(0.5))))),
     )
     elapsed = time.time() - start
     ok = (rotation_residual < 1e-9 and group_law < 1e-12
@@ -129,7 +129,7 @@ def test_criterion_3_deformation_invariants():
     samples = fundamental_annulus_sample(7, CASE_B, 50)
     pf = PotentialField(spec)
     pot = pf.potential(samples)
-    f0 = pot.f.value
+    f0 = pot.f
     t_star = select_deformation_time(spec, pot)[0].t
 
     worst_f = worst_phi = worst_sq = worst_mixed = 0.0

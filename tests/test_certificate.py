@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from biherm.certificate import (
     run_certificate,
 )
 from biherm.deformation import integrate_flow, quotient_triple
+from biherm.errors import GroupDataError
 from biherm.exterior import J_STD, KAHLER_STD, StencilCloud, stencil_step
 from biherm.hopf_groups import (
     ContractionParams,
@@ -443,6 +445,17 @@ class TestRunCertificate:
         assert not report.passed
         assert "real type" in report.refusal
         assert "alpha*beta in R+*" in report.refusal
+
+    @pytest.mark.parametrize("t", [1e6, math.nan])
+    def test_time_beyond_bound_is_refused_before_the_flow(self, t):
+        # a bad time is a data error, not an analytic refusal after a long
+        # integration
+        data = HopfGroupData(CASE_B)
+        start = time.perf_counter()
+        with pytest.raises(GroupDataError, match="finite with"):
+            run_certificate(CertificateConfig(data=data, t=t, n=1,
+                                              with_differential=False))
+        assert time.perf_counter() - start < 1.0
 
     def test_fixed_t_skips_sweep(self):
         data = HopfGroupData(CASE_B)

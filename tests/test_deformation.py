@@ -1,5 +1,7 @@
 """Hamiltonian field, variational flow, pullbacks, sweeps."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from biherm.deformation import (
     quotient_triple,
     select_deformation_time,
 )
+from biherm.errors import GroupDataError
 from biherm.exterior import (
     HOLO_IM,
     HOLO_RE,
@@ -72,9 +75,10 @@ class TestHamiltonianField:
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(1, CASE_B, 20)
         x_vec, _ = hamiltonian_field(spec, x)
-        pot = PotentialField(spec).potential(x)
+        pf = PotentialField(spec)
+        _, grad, _ = pf.value_grad_hess(x, pf.potential(x).r)
         contraction = np.einsum("...i,ij->...j", x_vec, HOLO_RE)
-        assert np.max(np.abs(contraction - pot.f.grad)) < 1e-12
+        assert np.max(np.abs(contraction - grad)) < 1e-12
 
     def test_zero_gradient_gives_zero_field(self):
         # linearity sanity on a synthetic critical point (grad = 0 cannot
@@ -101,7 +105,7 @@ class TestIntegrateFlow:
         spec = flow_spec_for(params)
         x = fundamental_annulus_sample(2, params, 30)
         pf = PotentialField(spec)
-        f0 = pf.potential(x).f.value
+        f0 = pf.potential(x).f
         for t in (0.1, 0.5):
             state = integrate_flow(spec, t, x)
             f1 = pf.f_value(state.x_t)
@@ -309,8 +313,9 @@ class TestQuotientTriple:
         f_cloud = pf.f_value(cloud.points)
         d = cloud.d_two_form(HOLO_IM / f_cloud[..., None, None])[0]
         pot = pf.potential(x.reshape(1, 4))
-        tau = -pot.f.grad[0] / pot.f.value[0]
-        target = wedge_one_two(tau, HOLO_IM / pot.f.value[0])
+        f, grad, _ = pf.value_grad_hess(pot.x, pot.r)
+        tau = -grad[0] / f[0]
+        target = wedge_one_two(tau, HOLO_IM / f[0])
         assert np.max(np.abs(d - target)) < 1e-8
 
     def test_gamma_invariance_of_quotient_forms(self):
@@ -434,6 +439,14 @@ class TestSweep:
         norm2 = np.sum(x**2, axis=-1)
         assert rows[0].min_margin == pytest.approx(
             float(np.min(np.sin(3.6) / norm2)), abs=1e-7)
+
+    def test_grid_beyond_bound_is_refused_before_the_flow(self):
+        spec = flow_spec_for(CASE_B)
+        pot = PotentialField(spec).potential(fundamental_annulus_sample(15, CASE_B, 4))
+        start = time.perf_counter()
+        with pytest.raises(GroupDataError, match="t = 11.0"):
+            positivity_sweep(spec, (0.1, 11.0), pot)
+        assert time.perf_counter() - start < 1.0
 
     def test_select_deformation_time(self):
         spec = flow_spec_for(CASE_B)

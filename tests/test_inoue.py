@@ -92,9 +92,9 @@ class TestCurvature:
     @pytest.mark.parametrize("data", (SM_DATA, SPLUS_DATA))
     def test_jet_matches_closed_form_on_samples(self, data):
         w, _ = inoue_samples(11, 100)
-        jet = curvature_form(data, w)
+        curv = curvature_form(data, w)
         closed = curvature_closed_form(data, w)
-        assert np.max(np.abs(jet - closed)) < 1e-8
+        assert np.max(np.abs(curv - closed)) < 1e-8
 
     def test_nonnegative_one_one_form(self):
         w, _ = inoue_samples(13, 50)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biherm.jets import jet_constant, jet_variables
-from support import ComplexJet
+from support import ComplexJet, jet_constant, jet_variables
 
 
 def fd_gradient(fn, x, h=1e-3):

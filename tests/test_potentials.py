@@ -1,7 +1,10 @@
-"""Radial time, potentials, their jets, and the invariance diagnostics."""
+"""Radial time, potentials, their derivatives, and the invariance
+diagnostics."""
 
 import numpy as np
 import pytest
+
+import biherm.potentials as potentials
 
 from biherm.errors import AmbiguousRadialTime, NotPlurisubharmonic
 from biherm.exterior import J_STD, KAHLER_STD, invariant_part, metric_from_form, min_metric_eigenvalue
@@ -21,6 +24,7 @@ CASE_A = ContractionParams(0.5, 0.5)
 CASE_A_CPLX = ContractionParams(0.3 + 0.4j, 0.3 - 0.4j)
 CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
+SHEAR_M2 = ContractionParams(0.49, 0.7, lam=0.05, m=2)
 ALL_CASES = (CASE_A, CASE_A_CPLX, CASE_B, CASE_C)
 
 
@@ -86,14 +90,15 @@ class TestRadialTime:
         base = flow_spec_for(CASE_B)
         shifted = flow_spec_for(ContractionParams(
             0.5, 0.6, arg_alpha=2 * np.pi, arg_beta=-4 * np.pi))
-        r1 = PotentialField(base).potential(x).r
-        r2 = PotentialField(shifted).potential(x).r
-        assert np.max(np.abs(r1.value - r2.value)) < 1e-12
-        assert np.max(np.abs(r1.grad - r2.grad)) < 1e-12
+        r1, r2 = (PotentialField(spec).potential(x).r for spec in (base, shifted))
+        _, grad1, _ = PotentialField(base).value_grad_hess(x, r1)
+        _, grad2, _ = PotentialField(shifted).value_grad_hess(x, r2)
+        assert np.max(np.abs(r1 - r2)) < 1e-12
+        assert np.max(np.abs(grad1 - grad2)) < 1e-12
 
     def test_derivative_routes_agree(self):
         rng = np.random.default_rng(5)
-        for params in ALL_CASES + (ContractionParams(0.49, 0.7, lam=0.05, m=2),):
+        for params in ALL_CASES + (SHEAR_M2,):
             spec = flow_spec_for(params)
             x = rng.standard_normal((30, 4)) * 1.4
             r = rng.uniform(-2, 2, 30)
@@ -101,6 +106,87 @@ class TestRadialTime:
             grad, hess = _g_derivatives(spec, r, x)
             assert np.max(np.abs(jet.grad - grad)) < 1e-11
             assert np.max(np.abs(jet.hess - hess)) < 1e-11
+
+    @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2))
+    def test_g_evaluations_per_solve(self, monkeypatch, params):
+        # bracket (2), multiple-root scan (64), then a few safeguarded
+        # Newton steps and the final check
+        calls = []
+        g_value_slope = potentials._g_value_slope
+
+        def counting(*args):
+            calls.append(None)
+            return g_value_slope(*args)
+
+        spec = flow_spec_for(params)
+        x = fundamental_annulus_sample(3, params, 200)
+        monkeypatch.setattr(potentials, "_g_value_slope", counting)
+        PotentialField(spec).solve(x)
+        assert len(calls) <= 75
+
+    @pytest.mark.parametrize("params", (CASE_B, CASE_C, SHEAR_M2))
+    def test_matches_mpmath_root(self, params):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        spec = flow_spec_for(params)
+        x = fundamental_annulus_sample(9, params, 8)
+        r = PotentialField(spec).solve(x)
+        for xi, ri in zip(x, r):
+            z1, z2 = mp.mpc(xi[0], xi[1]), mp.mpc(xi[2], xi[3])
+            lam_hat = mp.mpc(spec.lam_hat.real, spec.lam_hat.imag)
+            la, lb = mp.mpf(spec.log_alpha.real), mp.mpf(spec.log_beta.real)
+
+            def g(t):
+                if spec.kind == "diagonal":
+                    return (abs(z1) ** 2 * mp.exp(-2 * t * la)
+                            + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
+                w = z1 - t * lam_hat * z2**spec.m
+                return (abs(w) ** 2 * mp.exp(-2 * spec.m * t * lb)
+                        + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
+
+            assert abs(float(mp.findroot(g, mp.mpf(float(ri)))) - ri) < 1e-15
+
+    def test_failed_polish_names_the_samples(self, monkeypatch):
+        # no Newton step leaves r at the upper end of the scan cell
+        monkeypatch.setattr(potentials, "_NEWTON_ITERS", 0)
+        x = fundamental_annulus_sample(3, CASE_B, 4)
+        with pytest.raises(AmbiguousRadialTime,
+                           match=r"Newton polish failed at sample indices \[0, 1, 2, 3\]"):
+            PotentialField(flow_spec_for(CASE_B)).solve(x)
+
+    def test_newton_is_kept_in_the_sign_change_cell(self, monkeypatch):
+        # G is concave near this root, which lies close to the lower end of
+        # its scan cell: Newton from the upper end overshoots below the cell
+        # and must bisect instead
+        spec = flow_spec_for(ContractionParams(
+            0.024008653317216758 + 0.02986386399101742j,
+            0.32228494078826436 + 0.0989485882158624j,
+            lam=0.18887293088847298 - 0.053856476377135455j, m=3))
+        x = np.array([[0.4201743341002648, -0.11164715363458058,
+                       0.9002882907661116, -0.6240144992124141]])
+        lo, hi = potentials._sign_change_cell(
+            spec, *potentials._bracket(spec, x), x)
+        seen = []
+        g_value_slope = potentials._g_value_slope
+
+        def recording(spec, r, x):
+            seen.append(r)
+            return g_value_slope(spec, r, x)
+
+        monkeypatch.setattr(potentials, "_g_value_slope", recording)
+        r = PotentialField(spec).solve(x)
+        iterates = np.array(seen[2 + potentials._SCAN_POINTS:])
+        assert np.all((lo <= iterates) & (iterates <= hi))
+        assert r == pytest.approx(-0.30158417115376494, abs=1e-15)  # mpmath
+
+    def test_solve_is_batch_independent(self):
+        # each point stops at its own Newton step, whatever else is solved
+        spec = flow_spec_for(SHEAR_M2)
+        x = fundamental_annulus_sample(5, SHEAR_M2, 30) * np.exp(
+            np.linspace(-3, 3, 30))[:, None]
+        r = PotentialField(spec).solve(x)
+        alone = [PotentialField(spec).solve(xi[None]) for xi in x]
+        assert np.array_equal(r, np.concatenate(alone))
 
     def test_shear_multiple_roots_rejected(self):
         # a huge shear coefficient makes |z1 - r lhat z2|^2 dip through the
@@ -113,12 +199,22 @@ class TestRadialTime:
 
 
 class TestPotential:
+    def test_equal_moduli_derivatives(self):
+        # f = |x|^2 when |alpha| = |beta|
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((30, 4)) * 1.2
+        pf = PotentialField(flow_spec_for(CASE_A))
+        f, grad, hess = pf.value_grad_hess(x, pf.solve(x))
+        assert np.max(np.abs(f - np.sum(x**2, axis=-1))) < 1e-12
+        assert np.max(np.abs(grad - 2 * x)) < 1e-12
+        assert np.max(np.abs(hess - 2 * np.eye(4))) < 1e-12
+
     def test_equal_moduli_is_norm_squared(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((30, 4)) * 1.2
         pot = PotentialField(flow_spec_for(CASE_A)).potential(x)
         norm2 = np.sum(x**2, axis=-1)
-        assert np.max(np.abs(pot.f.value - norm2) / norm2) < 1e-12
+        assert np.max(np.abs(pot.f - norm2) / norm2) < 1e-12
         assert np.max(np.abs(pot.ddc_f - 4 * KAHLER_STD)) < 1e-11
         margin = min_metric_eigenvalue(metric_from_form(pot.ddc_f, J_STD))
         assert np.min(margin) > 3.9
@@ -127,8 +223,8 @@ class TestPotential:
         spec = flow_spec_for(CASE_B)
         pot = PotentialField(spec).potential(np.array([[1.0, 0, 0, 0],
                                                        [0.5, 0, 0, 0]]))
-        assert pot.f.value[0] == pytest.approx(1.0, abs=1e-12)
-        assert pot.f.value[1] == pytest.approx(0.3, abs=1e-12)
+        assert pot.f[0] == pytest.approx(1.0, abs=1e-12)
+        assert pot.f[1] == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_unit_sphere_value_one(self, params):
@@ -136,7 +232,7 @@ class TestPotential:
         x = rng.standard_normal((10, 4))
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
         pot = PotentialField(flow_spec_for(params)).potential(x)
-        assert np.max(np.abs(pot.f.value - 1.0)) < 1e-12
+        assert np.max(np.abs(pot.f - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("params", ALL_CASES)
     def test_lck_form_is_one_one_and_positive(self, params):
@@ -155,7 +251,7 @@ class TestPotential:
         assert np.array_equal(pot.x, samples)
         assert np.array_equal(pot.margin, min_metric_eigenvalue(
             metric_from_form(pot.ddc_f, J_STD)))
-        assert np.array_equal(pf.f_value(samples), pot.f.value)
+        assert np.array_equal(pf.f_value(samples), pot.f)
 
     def test_oversized_shear_not_plurisubharmonic(self):
         params = ContractionParams(0.6, 0.6, lam=100.0, m=1)
@@ -168,7 +264,7 @@ class TestPotential:
         spec = flow_spec_for(params)
         pf = PotentialField(spec)
         samples = fundamental_annulus_sample(13, params, 100)
-        pot = pf.potential(samples)
+        _, grad, _ = pf.value_grad_hess(samples, pf.potential(samples).r)
 
         h = 1e-3
         for i in range(4):
@@ -179,24 +275,28 @@ class TestPotential:
             fp2 = pf.f_value(samples + e / 2)
             fm2 = pf.f_value(samples - e / 2)
             fd = (4 * (fp2 - fm2) / h - (fp - fm) / (2 * h)) / 3
-            rel = np.abs(pot.f.grad[:, i] - fd) / (1 + np.abs(fd))
+            rel = np.abs(grad[:, i] - fd) / (1 + np.abs(fd))
             assert np.max(rel) < 1e-6
 
     def test_hessian_matches_finite_differences(self):
         spec = flow_spec_for(CASE_C)
         pf = PotentialField(spec)
         samples = fundamental_annulus_sample(17, CASE_C, 25)
-        pot = pf.potential(samples)
+
+        def grad_at(x):
+            return pf.value_grad_hess(x, pf.potential(x).r)[1]
+
+        _, _, hess = pf.value_grad_hess(samples, pf.potential(samples).r)
         h = 1e-3
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            gp = pf.potential(samples + e).f.grad
-            gm = pf.potential(samples - e).f.grad
-            gp2 = pf.potential(samples + e / 2).f.grad
-            gm2 = pf.potential(samples - e / 2).f.grad
+            gp = grad_at(samples + e)
+            gm = grad_at(samples - e)
+            gp2 = grad_at(samples + e / 2)
+            gm2 = grad_at(samples - e / 2)
             fd = (4 * (gp2 - gm2) / h - (gp - gm) / (2 * h)) / 3
-            rel = np.abs(pot.f.hess[:, :, j] - fd) / (1 + np.abs(fd))
+            rel = np.abs(hess[:, :, j] - fd) / (1 + np.abs(fd))
             assert np.max(rel) < 1e-6
 
 
@@ -231,7 +331,7 @@ class TestInvariances:
         res = verify_h_invariance(spec, [np.eye(2)], pot)
         assert np.max(res) < 1e-15
         # rescaling claim against the identity map: residual = |1 - a|
-        f = pot.f.value
+        f = pot.f
         bad = np.abs(f * spec.multiplier - f) / f
         assert np.allclose(bad, abs(1 - spec.multiplier), atol=1e-12)
 
