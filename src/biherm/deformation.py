@@ -21,7 +21,11 @@ cold solve of r at the images.
 The coupled trajectory/variational system is integrated by DOP853, the
 8(5,3) pair of Dormand and Prince, with one adaptive step per batch.  A
 sequence of times is one trajectory: the positivity sweep costs one
-integration to its last grid time.
+integration to its last grid time.  The integrator holds the state
+batch-last, as a (20, N) array over the flattened batch (x, then D row by
+row), so that every operation of the right-hand side runs over contiguous
+rows of length N; the factors of G and f that depend on the radial time
+alone are computed once per trajectory, since the trajectory keeps it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .exterior import (
     min_metric_eigenvalue,
     wedge_to_volume,
 )
-from .potentials import FlowSpec, PotentialEval, PotentialField
+from .potentials import FlowSpec, PotentialEval, PotentialField, RadialLevel
 
 DEFAULT_ODE_TOL = 1e-10
 DEFAULT_T_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
@@ -75,12 +79,6 @@ class QuotientTriple:
     f: np.ndarray
 
 
-def _field_and_derivative(pf: PotentialField, r: np.ndarray, x: np.ndarray):
-    """(Phi grad f, Phi Hess f) at points x of radial time r."""
-    _, grad, hess = pf.value_grad_hess(x, r)
-    return grad @ HOLO_RE.T, HOLO_RE @ hess
-
-
 def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
     """Hamiltonian vector field X with i_X Phi = df, and its derivative.
 
@@ -90,20 +88,33 @@ def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
     """
     pf = PotentialField(spec)
     z = np.asarray(z, dtype=float)
-    return _field_and_derivative(pf, pf.solve(z), z)
+    _, grad, hess = pf.value_grad_hess(z, pf.solve(z))
+    return grad @ HOLO_RE.T, HOLO_RE @ hess
 
 
-def _flow_rhs(pf: PotentialField, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the coupled trajectory/variational system at the
-    starting radial time r0.  The field is a multiple of Phi grad_x G(r0, x),
-    so the zero set of G(r0, .) is invariant and on it the field is the true
-    one; the variational part uses the true Hess f (with dr/dx), not the
-    derivative of the frozen-r field."""
-    x = y[..., :4]
-    d = y[..., 4:].reshape(y.shape[:-1] + (4, 4))
-    dx, a = _field_and_derivative(pf, r0, x)
-    dd = a @ d
-    return np.concatenate([dx, dd.reshape(y.shape[:-1] + (16,))], axis=-1)
+#: Phi = HOLO_RE as a signed row permutation: row i of Phi M is sign * row j
+#: of M, for each (i, j, sign).
+_PHI_ROWS = tuple((i, int(np.flatnonzero(row)[0]), float(row[row != 0][0]))
+                  for i, row in enumerate(HOLO_RE))
+
+
+def _flow_rhs(pf: PotentialField, level: RadialLevel,
+              y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the coupled trajectory/variational system on the
+    level set of the starting radial time, for the batch-last state y
+    (20, N): rows 0-3 the point x, rows 4-19 the Jacobian D row by row.
+
+    The field is a multiple of Phi grad_x G(r0, x), so the zero set of
+    G(r0, .) is invariant and on it the field is the true one; the
+    variational part uses the true Hess f (with dr/dx), not the derivative
+    of the frozen-r field."""
+    grad, hess_d = pf.grad_hess_dot(level, y[:4], y[4:].reshape(4, 4, -1))
+    out = np.empty_like(y)
+    dd = out[4:].reshape(4, 4, -1)
+    for i, j, sign in _PHI_ROWS:
+        np.multiply(grad[j], sign, out=out[i])
+        np.multiply(hess_d[j], sign, out=dd[i])
+    return out
 
 
 # DOP853, the 8(5,3) pair of Dormand and Prince (Hairer, Norsett and Wanner,
@@ -170,8 +181,14 @@ _DOP_E3 = tuple(b - b3 for b, b3 in zip(_DOP_B, (
 
 def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
                t_values, ode_tol: float):
-    """Yield y at each of the nondecreasing times t_values, continuing one
-    trajectory from y at t = 0 with adaptive DOP853 over the whole batch.
+    """Yield y (..., 20) at each of the nondecreasing times t_values,
+    continuing one trajectory from y at t = 0 with adaptive DOP853 over the
+    whole batch, on the level set of the radial time r0 (...).
+
+    The state is held batch-last, as a C-contiguous (20, N) array over the
+    flattened batch, and the stages as (12, 20, N); it is transposed on
+    entry and at each yielded time.  The factors that depend on r0 alone
+    (``PotentialField.level``) are computed once for the trajectory.
 
     One step size serves the batch; its error is Hairer's combined 5th/3rd
     order estimate, err = |h| E5^2 / sqrt(E5^2 + 0.01 E3^2), where E5 and
@@ -180,10 +197,18 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
     does not shrink the controller's h, and the last stage of an accepted
     step is the first of the next (FSAL), across grid times too.
     """
+    batch = y.shape[:-1]
+    level = pf.level(np.reshape(r0, -1))
+    y = np.ascontiguousarray(y.reshape(-1, 20).T)
     t = 0.0
     h = 0.05
     k = np.empty((len(_DOP_B),) + y.shape)  # the stages of one step
-    k[0] = _flow_rhs(pf, r0, y)
+    stages = k.reshape(len(_DOP_B), -1)
+
+    def combine(weights):  # sum_j weights[j] k_j
+        return np.dot(weights, stages[:len(weights)]).reshape(y.shape)
+
+    k[0] = _flow_rhs(pf, level, y)
     steps = 0
     for t1 in t_values:
         direction = 1.0 if t1 >= t else -1.0
@@ -195,11 +220,10 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
             steps += 1
             step = direction * min(h, abs(t1 - t))
             for i in range(1, len(_DOP_B)):
-                k[i] = _flow_rhs(pf, r0, y + step * np.tensordot(
-                    _DOP_A[i], k[:i], axes=1))
-            y_new = y + step * np.tensordot(_DOP_B, k, axes=1)
+                k[i] = _flow_rhs(pf, level, y + step * combine(_DOP_A[i]))
+            y_new = y + step * combine(_DOP_B)
             scale = ode_tol + ode_tol * np.maximum(np.abs(y), np.abs(y_new))
-            e5, e3 = (float(np.max(np.abs(np.tensordot(e, k, axes=1)) / scale))
+            e5, e3 = (float(np.max(np.abs(combine(e)) / scale))
                       for e in (_DOP_E5, _DOP_E3))
             err = (abs(step) * e5**2 / np.sqrt(e5**2 + 0.01 * e3**2)
                    if e5 or e3 else 0.0)
@@ -208,14 +232,14 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
             if err <= 1.0:
                 t = t1 if abs(t1 - (t + step)) < h_floor else t + step
                 y = y_new
-                k[0] = _flow_rhs(pf, r0, y)  # first same as last
+                k[0] = _flow_rhs(pf, level, y)  # first same as last
                 if abs(step) < h:  # clipped to t1: keep the controller's h
                     proposal = max(h, proposal)
             h = proposal
             if h < h_floor:
                 raise StepSizeUnderflow(
                     f"step size underflow at t = {t:.6g} (tol {ode_tol:g})")
-        yield y
+        yield y.T.reshape(batch + (20,))
 
 
 def _flow_states(spec: FlowSpec, t_values, x: np.ndarray, r: np.ndarray,

@@ -13,10 +13,14 @@ radial time r(z) is the unique root of
     G(r, z) = |phi_{-r}(z)|^2 - 1 = 0,
 
 found by Newton's method kept inside the one cell of a 64-point scan in
-which G changes sign; its first and second derivatives follow from the
-implicit function theorem applied to the gradient and Hessian of G in the
-five variables (r, x).  G depends on the flow only through
-moduli, so r is independent of the chosen arguments of alpha^t, beta^t.
+which G changes sign.  G depends on the flow only through moduli, so r is
+independent of the chosen arguments of alpha^t, beta^t.
+
+The derivatives of f at a known r come from one batch-last kernel,
+``PotentialField.grad_hess_dot``: the implicit function theorem makes
+Hess f . D a product with the small G_xx plus rank-one updates, so no 5x5
+Hessian of G is formed.  ``value_grad_hess`` is that kernel at D = Id, and
+the flow's right-hand side is the kernel at its variational Jacobian D.
 
 The potential f = a^r (a = |alpha||beta| for diagonal flows, |beta|^{m+1}
 for shears) satisfies f(gamma0 z) = a f(z) and is a Kaehler potential; the
@@ -171,86 +175,110 @@ def _g_value_slope(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
         return value, slope
 
 
-def _g_derivatives(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
-    """Gradient and Hessian of G in (r, x1, y1, x2, y2), in closed form.
+# ---------------------------------------------------------------------------
+# derivatives of f on a level set of the radial time (batch-last kernel)
+# ---------------------------------------------------------------------------
 
-    Same quantities as jet arithmetic on G, which the tests keep as the
-    reference route; the closed form avoids per-call temporaries on the
-    flow integrator's hot path.
+@dataclass(frozen=True)
+class RadialLevel:
+    """The factors of G and f = a^r that depend on the radial time alone,
+    at N points of radial time r, as batch-last arrays: r, f and
+    lf = f log a, of shape (N,), and e, the exponentials of G:
+    e^{-2 r ell_i} per coordinate with ell = (log|alpha|, log|alpha|,
+    log|beta|, log|beta|), shape (4, N), for a diagonal flow;
+    e^{-2 m r log|beta|} and e^{-2 r log|beta|}, shape (2, N), for a shear.
+    A trajectory keeps its radial time, so the flow computes them once per
+    integration."""
+
+    r: np.ndarray
+    f: np.ndarray
+    lf: np.ndarray
+    e: np.ndarray
+
+
+def _diagonal_parts(spec: FlowSpec, level: RadialLevel, x):
+    """G_x, G_rx, G_r, G_rr and (c, d) -> c G_xx . d of a diagonal flow,
+    where G = sum_i x_i^2 e^{-2 r ell_i} - 1 and G_xx = 2 diag(e)."""
+    la, lb = spec.log_alpha.real, spec.log_beta.real
+    ell = np.array([la, la, lb, lb])[:, None]
+    gx = 2.0 * level.e * x
+    grx = -2.0 * ell * gx
+    lx = ell * x
+    g_r = -np.sum(lx * gx, axis=0)
+    g_rr = -np.sum(lx * grx, axis=0)
+
+    def gxx_dot(c, d):
+        return (2.0 * c * level.e)[:, None] * d
+
+    return gx, grx, g_r, g_rr, gxx_dot
+
+
+def _shear_parts(spec: FlowSpec, level: RadialLevel, x):
+    """G_x, G_rx, G_r, G_rr and (c, d) -> c G_xx . d of a shear, where
+    G = |w|^2 e^{-2 m r log|beta|} + |z2|^2 e^{-2 r log|beta|} - 1 with
+    w = z1 - r s and s = lhat z2^m, in real arithmetic.
+
+    With s_z = ds/dz2 and v = -r s_z, w has the x-derivatives
+    dw = a + i b = (1, i, v, i v), the r-derivative -s, and
+    d(dw)/dr = (0, 0, -s_z, -i s_z), so that
+    G_xx = 2 e_m (a a^T + b b^T + Re(wbar ddw)) + 2 e_1 on (x2, y2).
     """
-    r = np.asarray(r, dtype=float)
-    x = np.asarray(x, dtype=float)
-    batch = r.shape
-    grad = np.zeros(batch + (5,))
-    hess = np.zeros(batch + (5, 5))
-    z = to_complex(x)
-    if spec.kind == "diagonal":
-        la, lb = spec.log_alpha.real, spec.log_beta.real
-        a2 = np.abs(z[..., 0]) ** 2
-        b2 = np.abs(z[..., 1]) ** 2
-        ea = np.exp(-2.0 * r * la)
-        eb = np.exp(-2.0 * r * lb)
-        grad[..., 0] = -2.0 * la * a2 * ea - 2.0 * lb * b2 * eb
-        grad[..., 1] = 2.0 * x[..., 0] * ea
-        grad[..., 2] = 2.0 * x[..., 1] * ea
-        grad[..., 3] = 2.0 * x[..., 2] * eb
-        grad[..., 4] = 2.0 * x[..., 3] * eb
-        hess[..., 0, 0] = 4.0 * la**2 * a2 * ea + 4.0 * lb**2 * b2 * eb
-        for i, (coef, ex) in enumerate(((la, ea), (la, ea), (lb, eb), (lb, eb))):
-            cross = -4.0 * coef * x[..., i] * ex
-            hess[..., 0, i + 1] = cross
-            hess[..., i + 1, 0] = cross
-            hess[..., i + 1, i + 1] = 2.0 * ex
-        return grad, hess
-
-    lb = spec.log_beta.real
-    m = spec.m
-    # w = z1 - r*s with s = lhat*z2^m; P = |w|^2, Q = |z2|^2
-    z2_pow = z[..., 1] ** (m - 1)
-    s = spec.lam_hat * z2_pow * z[..., 1]
-    s_x = m * spec.lam_hat * z2_pow
-    s_xx = (m * (m - 1) * spec.lam_hat * z[..., 1] ** (m - 2)) if m >= 2 else 0.0
-    w = z[..., 0] - r * s
-    wbar = np.conj(w)
-    p_val = np.abs(w) ** 2
-    q_val = np.abs(z[..., 1]) ** 2
-    em = np.exp(-2.0 * m * r * lb)
-    e1 = np.exp(-2.0 * r * lb)
-
-    # first derivatives of w in (r, x1, y1, x2, y2): (-s, 1, i, -r s_x, -i r s_x)
-    dw = np.stack([-s, np.ones_like(s), 1j * np.ones_like(s),
-                   -r * s_x, -1j * r * s_x], axis=-1)
-    # P_ab = 2 Re(conj(dw_a) dw_b) + 2 Re(wbar ddw_ab); the first term from
-    # real and imaginary parts, so that no complex (5, 5) batch exists
-    np.multiply(dw.real[..., :, None], dw.real[..., None, :], out=hess)
-    hess += dw.imag[..., :, None] * dw.imag[..., None, :]
-    ws, wss = wbar * s_x, r * wbar * s_xx
-    hess[..., 0, 3] -= ws.real  # ddw_{r x2} = -s_x
-    hess[..., 0, 4] += ws.imag  # ddw_{r y2} = -i s_x
-    hess[..., 3, 3] -= wss.real  # ddw_{x2 x2} = -r s_xx
-    hess[..., 3, 4] += wss.imag  # ddw_{x2 y2} = -i r s_xx
-    hess[..., 4, 4] += wss.real  # ddw_{y2 y2} = r s_xx
-    hess[..., 3, 0], hess[..., 4, 0], hess[..., 4, 3] = (
-        hess[..., 0, 3], hess[..., 0, 4], hess[..., 3, 4])
-    hess *= 2.0 * em[..., None, None]
-    grad[...] = 2.0 * (wbar[..., None] * dw).real * em[..., None]
-
-    # grad and hess hold the derivatives of P em so far
+    lb, m, r = spec.log_beta.real, spec.m, level.r
+    em, e1 = level.e
     cm, c1 = -2.0 * m * lb, -2.0 * lb
-    hess[..., 0, :] += cm * grad
-    hess[..., :, 0] += cm * grad
-    grad[..., 0] += cm * p_val * em + c1 * q_val * e1
-    grad[..., 3] += 2.0 * x[..., 2] * e1
-    grad[..., 4] += 2.0 * x[..., 3] * e1
+    x1, y1, x2, y2 = x
+    s_z = m * spec.lam_hat
+    if m >= 2:
+        s_z = s_z * (x2 + 1j * y2) ** (m - 1)
+    szr, szi = np.real(s_z), np.imag(s_z)
+    sr = (szr * x2 - szi * y2) / m
+    si = (szr * y2 + szi * x2) / m
+    vr, vi = -r * szr, -r * szi
+    wr, wi = x1 - r * sr, y1 - r * si
+    tr, ti = wr - r * sr, wi - r * si  # w - r s, for G_rx on (x2, y2)
+    e2 = 2.0 * em
+    p_val = wr * wr + wi * wi
+    q_val = x2 * x2 + y2 * y2
+    ws = wr * sr + wi * si  # Re(wbar s)
+    gx = np.empty((4,) + wr.shape)
+    gx[0] = wr
+    gx[1] = wi
+    gx[2] = wr * vr + wi * vi
+    gx[3] = wi * vr - wr * vi
+    gx *= e2
+    grx = cm * gx
+    grx[0] -= e2 * sr
+    grx[1] -= e2 * si
+    grx[2] -= e2 * (tr * szr + ti * szi)
+    grx[3] += e2 * (tr * szi - ti * szr)
+    q2 = 2.0 * e1 * x[2:]
+    gx[2:] += q2
+    grx[2:] += c1 * q2
+    g_r = cm * p_val * em - e2 * ws + c1 * q_val * e1
+    g_rr = (e2 * (sr * sr + si * si - 2.0 * cm * ws)
+            + cm**2 * p_val * em + c1**2 * q_val * e1)
 
-    hess[..., 0, 0] += cm**2 * p_val * em + c1**2 * q_val * e1
-    hess[..., 0, 3] += c1 * 2.0 * x[..., 2] * e1
-    hess[..., 3, 0] += c1 * 2.0 * x[..., 2] * e1
-    hess[..., 0, 4] += c1 * 2.0 * x[..., 3] * e1
-    hess[..., 4, 0] += c1 * 2.0 * x[..., 3] * e1
-    hess[..., 3, 3] += 2.0 * e1
-    hess[..., 4, 4] += 2.0 * e1
-    return grad, hess
+    def gxx_dot(c, d):
+        ce = c * e2
+        alpha = d[0] + vr * d[2] - vi * d[3]  # a^T d
+        beta = d[1] + vi * d[2] + vr * d[3]  # b^T d
+        out = np.empty((4,) + alpha.shape)
+        out[0] = alpha
+        out[1] = beta
+        out[2] = vr * alpha + vi * beta
+        out[3] = vr * beta - vi * alpha
+        if m >= 2:
+            # Re(wbar ddw) = (-Re k, Im k; Im k, Re k) on (x2, y2) with
+            # k = wbar r s_zz
+            k = (wr - 1j * wi) * r * (
+                m * (m - 1) * spec.lam_hat * (x2 + 1j * y2) ** (m - 2))
+            out[2] += k.imag * d[3] - k.real * d[2]
+            out[3] += k.imag * d[2] + k.real * d[3]
+        out *= ce
+        out[2:] += (2.0 * c * e1) * d[2:]
+        return out
+
+    return gx, grx, g_r, g_rr, gxx_dot
 
 
 def _bracket(spec: FlowSpec, x: np.ndarray):
@@ -326,9 +354,11 @@ class PotentialField:
     """The radial time r and the potential f = a^r of one flow.
 
     ``solve`` performs the guarded cold start (bracket, multiple-root scan,
-    safeguarded Newton); ``value_grad_hess`` takes f and its derivatives at a
-    known r with no root solve; ``f_value`` is f alone; ``potential``
-    evaluates and checks a point set once.
+    safeguarded Newton); ``level`` takes the factors that depend on a known
+    r alone, ``grad_hess_dot`` grad f and Hess f . D on that level set, and
+    ``value_grad_hess`` f and its derivatives, all with no root solve;
+    ``f_value`` is f alone; ``potential`` evaluates and checks a point set
+    once.
     """
 
     def __init__(self, spec: FlowSpec):
@@ -339,7 +369,20 @@ class PotentialField:
         cell, with a bisection step wherever Newton would leave the cell
         (rtsafe; Press et al., Numerical Recipes, sec. 9.4).  Each point
         stops at its own small Newton step, so its r does not depend on the
-        batch.  The root must meet |G| <= ROOT_TOL and dG/dr > 0."""
+        batch.  The root must meet |G| <= ROOT_TOL and dG/dr > 0.
+
+        A point whose |x|^2 is not a positive finite double (the origin, a
+        NaN or infinite coordinate) has no radial time and raises
+        GroupDataError before any bracketing."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm2 = np.sum(x * x, axis=-1)
+        outside = ~((norm2 > 0.0) & np.isfinite(norm2))
+        if np.any(outside):
+            raise GroupDataError(
+                f"points without a radial time at sample indices "
+                f"{np.argwhere(outside).ravel().tolist()}: |x|^2 must be a "
+                "positive finite number")
         lo, hi = _sign_change_cell(self.spec, *_bracket(self.spec, x), x)
         r = hi
         moving = np.ones(np.shape(r), dtype=bool)
@@ -376,29 +419,61 @@ class PotentialField:
         return np.exp(self.spec.log_multiplier
                       * self.solve(np.asarray(x, dtype=float)))
 
-    def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
-        """(f, grad f, hess f) at points x of radial time r, without
-        positivity checks and without a root solve.
+    def level(self, r: np.ndarray) -> RadialLevel:
+        """The r-only factors at N points of radial time r (shape (N,))."""
+        r = np.asarray(r, dtype=float)
+        spec = self.spec
+        if spec.kind == "diagonal":
+            la, lb = spec.log_alpha.real, spec.log_beta.real
+            logs = np.array([la, la, lb, lb])
+        else:
+            lb = spec.log_beta.real
+            logs = np.array([spec.m * lb, lb])
+        f = np.exp(spec.log_multiplier * r)
+        return RadialLevel(r, f, spec.log_multiplier * f,
+                           np.exp(-2.0 * r * logs[:, None]))
 
-        The derivatives of r follow from the implicit function theorem on
-        G(r(x), x) = 0, those of f = a^r from the chain rule; both use the
-        one outer product grad r grad r^T.
+    def grad_hess_dot(self, level: RadialLevel, x: np.ndarray, d: np.ndarray):
+        """grad f (4, N) and Hess f . d (4, k, N) at the points x (4, N) of
+        level, for vectors d (4, k, N); batch-last, no root solve.
+
+        The implicit function theorem on G(r(x), x) = 0 gives, with
+        s = -1/G_r, rho = grad r = s G_x and L = log a,
+
+            Hess f = L f [s G_xx + s (G_rx rho^T + rho G_rx^T)
+                          + (s G_rr + L) rho rho^T],
+
+        so Hess f . d is G_xx . d plus two rank-one updates u (v^T d); G_xx
+        is diagonal (diagonal flow) or rank two plus a 2x2 block (shear),
+        and no 5x5 Hessian of G is formed.
         """
-        grad, hess = _g_derivatives(self.spec, r, x)
-        g_r = grad[..., 0]
-        r_x = -grad[..., 1:] / g_r[..., None]
-        cross = hess[..., 0, 1:, None] * r_x[..., None, :]
-        r_x_r_x = r_x[..., :, None] * r_x[..., None, :]
-        r_xx = -(
-            hess[..., 1:, 1:]
-            + cross
-            + np.swapaxes(cross, -1, -2)
-            + hess[..., 0, 0, None, None] * r_x_r_x
-        ) / g_r[..., None, None]
-        ln_a = self.spec.log_multiplier
-        f = np.exp(ln_a * np.asarray(r, dtype=float))
-        return (f, ln_a * f[..., None] * r_x,
-                ln_a * f[..., None, None] * (r_xx + ln_a * r_x_r_x))
+        spec = self.spec
+        parts = _diagonal_parts if spec.kind == "diagonal" else _shear_parts
+        gx, grx, g_r, g_rr, gxx_dot = parts(spec, level, x)
+        ln_a, lf = spec.log_multiplier, level.lf
+        s = -1.0 / g_r
+        rho = s * gx
+        c = lf * s
+        p = np.einsum("in,ikn->kn", rho, d)
+        u = s * np.einsum("in,ikn->kn", grx, d) + (s * g_rr + ln_a) * p
+        hess_d = np.einsum("itn,tkn->ikn",
+                           np.stack([c * grx, lf * rho], axis=1),
+                           np.stack([p, u]))
+        hess_d += gxx_dot(c, d)
+        return lf * rho, hess_d
+
+    def value_grad_hess(self, x: np.ndarray, r: np.ndarray):
+        """(f, grad f, hess f) at points x (..., 4) of radial time r (...),
+        shaped (...), (..., 4) and (..., 4, 4), without positivity checks
+        and without a root solve: ``grad_hess_dot`` at d = Id."""
+        x = np.asarray(x, dtype=float)
+        batch = x.shape[:-1]
+        points = x.reshape(-1, 4).T
+        level = self.level(np.reshape(r, -1))
+        eye = np.broadcast_to(np.eye(4)[:, :, None], (4, 4, points.shape[1]))
+        grad, hess = self.grad_hess_dot(level, points, eye)
+        return (level.f.reshape(batch), grad.T.reshape(batch + (4,)),
+                hess.transpose(2, 0, 1).reshape(batch + (4, 4)))
 
     def potential(self, x: np.ndarray) -> PotentialEval:
         """r, f and dd^c f at x; raises unless dd^c f is positive definite at

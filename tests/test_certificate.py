@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import biherm.certificate
+import biherm.reporting
 from biherm.certificate import (
     CertificateConfig,
     StructureField,
@@ -438,6 +440,33 @@ class TestRunCertificate:
         payload = report.to_json_dict()
         assert payload["pass"] is True
         assert all(v["pass"] for v in payload["identities"].values())
+
+    def test_pool_sizes_give_identical_report_bytes(self, monkeypatch):
+        # at CHUNK = 8192 a small run is one chunk and the pool never runs;
+        # at 130 each chunk holds two 65-point clouds, so the differential
+        # families take several chunks and threads = 2 runs them in the pool
+        monkeypatch.setattr(biherm.reporting, "CHUNK", 130)
+        chunk_threads = []
+        chunked = biherm.certificate.chunked_map
+
+        def recording(fn, x, threads=1):
+            def chunk(part):
+                chunk_threads.append(threading.get_ident())
+                return fn(part)
+            return chunked(chunk, x, threads)
+
+        monkeypatch.setattr(biherm.certificate, "chunked_map", recording)
+        data = HopfGroupData(CASE_B, (np.diag([EPS3, 1 / EPS3]),))
+        reports, counts = [], []
+        for threads in (1, 2):
+            chunk_threads.clear()
+            reports.append(run_certificate(CertificateConfig(
+                data=data, n=5, seed=7, threads=threads)).to_json())
+            counts.append(len(chunk_threads))
+            pooled = set(chunk_threads) - {threading.get_ident()}
+            assert bool(pooled) == (threads > 1)
+        assert counts[0] == counts[1] >= 2
+        assert reports[0] == reports[1]
 
     def test_not_real_type_refusal(self):
         data = HopfGroupData(ContractionParams(0.5j, 0.6))

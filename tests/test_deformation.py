@@ -205,13 +205,15 @@ class TestIntegrateFlow:
 
 
 def counting_rhs(monkeypatch):
-    """Record the state argument of every flow right-hand-side evaluation."""
+    """Record the state argument of every flow right-hand-side evaluation,
+    which the integrator holds batch-last (20, N), in the caller's (N, 20)
+    layout."""
     seen = []
     rhs = deformation._flow_rhs
 
-    def counting(pf, r0, y):
-        seen.append(y.copy())
-        return rhs(pf, r0, y)
+    def counting(pf, level, y):
+        seen.append(y.T.copy())
+        return rhs(pf, level, y)
 
     monkeypatch.setattr(deformation, "_flow_rhs", counting)
     return seen

@@ -1,17 +1,20 @@
 """Radial time, potentials, their derivatives, and the invariance
 diagnostics."""
 
+import time
+
 import numpy as np
 import pytest
 
 import biherm.potentials as potentials
 
-from biherm.errors import AmbiguousRadialTime, NotPlurisubharmonic
+from biherm.deformation import integrate_flow
+from biherm.errors import AmbiguousRadialTime, GroupDataError, NotPlurisubharmonic
 from biherm.exterior import J_STD, KAHLER_STD, invariant_part, metric_from_form, min_metric_eigenvalue
 from biherm.hopf_groups import ContractionParams, ContractionPower, group_closure
 from biherm.potentials import (
+    FlowSpec,
     PotentialField,
-    _g_derivatives,
     flow_apply,
     flow_spec_for,
     fundamental_annulus_sample,
@@ -25,6 +28,9 @@ CASE_A_CPLX = ContractionParams(0.3 + 0.4j, 0.3 - 0.4j)
 CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
 SHEAR_M2 = ContractionParams(0.49, 0.7, lam=0.05, m=2)
+# alpha = beta^3; the radial time only reads log|beta|, m and lhat
+SHEAR_M3 = FlowSpec("shear", complex(3 * np.log(0.7), 0.3),
+                    complex(np.log(0.7), 0.1), 3, 0.04 - 0.03j)
 ALL_CASES = (CASE_A, CASE_A_CPLX, CASE_B, CASE_C)
 
 
@@ -97,15 +103,58 @@ class TestRadialTime:
         assert np.max(np.abs(grad1 - grad2)) < 1e-12
 
     def test_derivative_routes_agree(self):
+        # the kernel's grad f and Hess f . D against the 2-jet of G taken
+        # through the implicit-function formula, at radial times off the
+        # level set of x and a random D
         rng = np.random.default_rng(5)
-        for params in ALL_CASES + (SHEAR_M2,):
-            spec = flow_spec_for(params)
+        for params in ALL_CASES + (SHEAR_M2, SHEAR_M3):
+            spec = params if isinstance(params, FlowSpec) else flow_spec_for(params)
+            pf = PotentialField(spec)
             x = rng.standard_normal((30, 4)) * 1.4
             r = rng.uniform(-2, 2, 30)
+            d = rng.standard_normal((30, 4, 4))
             jet = g_jet5(spec, r, x)
-            grad, hess = _g_derivatives(spec, r, x)
-            assert np.max(np.abs(jet.grad - grad)) < 1e-11
-            assert np.max(np.abs(jet.hess - hess)) < 1e-11
+            g_r, g_x = jet.grad[..., 0], jet.grad[..., 1:]
+            h_rr, h_rx, h_xx = (jet.hess[..., 0, 0], jet.hess[..., 0, 1:],
+                                jet.hess[..., 1:, 1:])
+            rho = -g_x / g_r[..., None]
+            cross = h_rx[..., :, None] * rho[..., None, :]
+            rho_rho = rho[..., :, None] * rho[..., None, :]
+            r_xx = -(h_xx + cross + np.swapaxes(cross, -1, -2)
+                     + h_rr[..., None, None] * rho_rho) / g_r[..., None, None]
+            ln_a = spec.log_multiplier
+            lf = ln_a * np.exp(ln_a * r)
+            grad_ref = lf[..., None] * rho
+            hess_ref = lf[..., None, None] * (r_xx + ln_a * rho_rho)
+
+            grad, hess_d = pf.grad_hess_dot(pf.level(r), x.T,
+                                            d.transpose(1, 2, 0))
+            assert np.max(np.abs(grad.T - grad_ref)) < 1e-11
+            assert np.max(np.abs(hess_d.transpose(2, 0, 1)
+                                 - hess_ref @ d)) < 1e-11
+
+            f, grad, hess = pf.value_grad_hess(x.reshape(5, 6, 4),
+                                               r.reshape(5, 6))
+            assert (f.shape, grad.shape, hess.shape) == (
+                (5, 6), (5, 6, 4), (5, 6, 4, 4))
+            assert np.max(np.abs(grad.reshape(30, 4) - grad_ref)) < 1e-11
+            assert np.max(np.abs(hess.reshape(30, 4, 4) - hess_ref)) < 1e-11
+
+    @pytest.mark.parametrize("params", (CASE_B, CASE_C))
+    @pytest.mark.parametrize("bad", ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0],
+                                     [0.5, -np.inf, 0.0, 0.0]))
+    def test_points_without_radial_time_are_refused(self, params, bad):
+        # the origin and non-finite points are bad input, not a shear with
+        # multiple roots; refused before the bracket doubles G to overflow
+        spec = flow_spec_for(params)
+        x = fundamental_annulus_sample(4, params, 5)
+        x[3] = bad
+        for call in (lambda: PotentialField(spec).solve(x),
+                     lambda: integrate_flow(spec, 0.2, x)):
+            start = time.perf_counter()
+            with pytest.raises(GroupDataError, match=r"sample indices \[3\]"):
+                call()
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2))
     def test_g_evaluations_per_solve(self, monkeypatch, params):
