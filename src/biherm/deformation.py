@@ -79,17 +79,20 @@ class QuotientTriple:
     f: np.ndarray
 
 
-def hamiltonian_field(spec: FlowSpec, z: np.ndarray):
-    """Hamiltonian vector field X with i_X Phi = df, and its derivative.
+def hamiltonian_field(spec: FlowSpec, z: np.ndarray) -> np.ndarray:
+    """Hamiltonian vector field X with i_X Phi = df at z (..., 4).
 
     Phi has constant coefficients with Phi^2 = -Id as a matrix, so
-    X = Phi grad(f) and dX/dz = Phi Hess(f); the defining relation is then
-    reproduced exactly (to solver precision in f).
+    X = Phi grad(f); the defining relation is then reproduced exactly (to
+    solver precision in f).  grad f comes from ``grad_hess_dot`` with no
+    directions, so no Hessian is formed.
     """
     pf = PotentialField(spec)
     z = np.asarray(z, dtype=float)
-    _, grad, hess = pf.value_grad_hess(z, pf.solve(z))
-    return grad @ HOLO_RE.T, HOLO_RE @ hess
+    points = z.reshape(-1, 4)
+    grad, _ = pf.grad_hess_dot(pf.level(pf.solve(points)), points.T,
+                               np.empty((4, 0, len(points))))
+    return (HOLO_RE @ grad).T.reshape(z.shape)
 
 
 #: Phi = HOLO_RE as a signed row permutation: row i of Phi M is sign * row j

@@ -44,7 +44,7 @@ def rotation_flow_oracle(seed: int = 7, n: int = 100, t: float = 0.3,
     # the closed form must solve dx/dt = X(x): central difference in t
     h = 1e-6
     slope = (rotation_flow(h, x) - rotation_flow(-h, x)) / (2.0 * h)
-    field, _ = hamiltonian_field(spec, x)
+    field = hamiltonian_field(spec, x)
     solves_ode = float(np.max(np.abs(slope - field)))
 
     state = integrate_flow(spec, t, x, ode_tol)

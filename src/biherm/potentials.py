@@ -12,9 +12,13 @@ radial time r(z) is the unique root of
 
     G(r, z) = |phi_{-r}(z)|^2 - 1 = 0,
 
-found by Newton's method kept inside the one cell of a 64-point scan in
-which G changes sign.  G depends on the flow only through moduli, so r is
-independent of the chosen arguments of alpha^t, beta^t.
+found by safeguarded Newton on G's r-independent moduli, formed once per
+solve.  For a diagonal flow G is increasing and convex in r: the root has
+a closed-form bracket from |x|^2 and Newton from its upper end decreases
+monotonically to it.  For a shear, Newton is kept inside the one cell of a
+64-point scan of a doubled bracket in which G changes sign, and a second
+sign change is refused.  G depends on the flow only through moduli, so r
+is independent of the chosen arguments of alpha^t, beta^t.
 
 The derivatives of f at a known r come from one batch-last kernel,
 ``PotentialField.grad_hess_dot``: the implicit function theorem makes
@@ -57,7 +61,7 @@ from .hopf_groups import (
 )
 
 ROOT_TOL = 1e-13
-#: A point's solve stops once its Newton step is at most
+#: A point's solve stops once its Newton or bisection step is at most
 #: _STEP_TOL * (1 + |r|), and after _NEWTON_ITERS steps at the latest; that
 #: many bisections of a scan cell would reach the same resolution.
 _NEWTON_ITERS = 64
@@ -141,38 +145,200 @@ def flow_apply(spec: FlowSpec, t, x: np.ndarray) -> np.ndarray:
 # the radial-time equation G(r, z) = |phi_{-r}(z)|^2 - 1
 # ---------------------------------------------------------------------------
 
-def _shear_polynomials(spec: FlowSpec, z: np.ndarray):
-    """Coefficients of |z1 - r lhat z2^m|^2 = P0 - 2 r P1 + r^2 P2."""
-    s = spec.lam_hat * z[..., 1] ** spec.m
-    p0 = np.abs(z[..., 0]) ** 2
-    p1 = (np.conj(z[..., 0]) * s).real
-    p2 = np.abs(s) ** 2
-    return p0, p1, p2
+class _RadialEquation:
+    """G(r) = |phi_{-r}(x)|^2 - 1 at N fixed points x, from the moduli of x
+    that do not depend on r, formed once per solve: |z1|^2 and |z2|^2 for a
+    diagonal flow; P0, P1, P2 with |z1 - r lhat z2^m|^2 = P0 - 2 r P1 +
+    r^2 P2, and |z2|^2, for a shear.  G sees the flow only through moduli,
+    so r does not depend on the chosen arguments of alpha^t, beta^t.  The
+    radial times r have shape (N,) or (k, N)."""
 
+    def __init__(self, spec: FlowSpec, x: np.ndarray):
+        z = to_complex(x)
+        self.spec = spec
+        self.p0 = np.abs(z[:, 0]) ** 2
+        self.q = np.abs(z[:, 1]) ** 2
+        if spec.kind == "shear":
+            s = spec.lam_hat * z[:, 1] ** spec.m
+            self.p1 = (np.conj(z[:, 0]) * s).real
+            self.p2 = np.abs(s) ** 2
 
-def _g_value_slope(spec: FlowSpec, r: np.ndarray, x: np.ndarray):
-    """G and dG/dr, vectorised; uses only moduli (branch independent)."""
-    z = to_complex(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "diagonal":
-            la, lb = spec.log_alpha.real, spec.log_beta.real
-            a2 = np.abs(z[..., 0]) ** 2
-            b2 = np.abs(z[..., 1]) ** 2
-            ea = np.exp(-2.0 * r * la)
-            eb = np.exp(-2.0 * r * lb)
-            value = a2 * ea + b2 * eb - 1.0
-            slope = -2.0 * la * a2 * ea - 2.0 * lb * b2 * eb
+    def __call__(self, r: np.ndarray):
+        """G and dG/dr at r."""
+        spec = self.spec
+        p0, q = self.p0, self.q
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.kind == "diagonal":
+                la, lb = spec.log_alpha.real, spec.log_beta.real
+                ea = np.exp(-2.0 * r * la)
+                eb = np.exp(-2.0 * r * lb)
+                value = p0 * ea + q * eb - 1.0
+                slope = -2.0 * la * p0 * ea - 2.0 * lb * q * eb
+                return value, slope
+            lb = spec.log_beta.real
+            m = spec.m
+            p1, p2 = self.p1, self.p2
+            em = np.exp(-2.0 * m * r * lb)
+            e1 = np.exp(-2.0 * r * lb)
+            poly = p0 - 2.0 * r * p1 + r**2 * p2
+            value = poly * em + q * e1 - 1.0
+            slope = ((-2.0 * p1 + 2.0 * r * p2) * em
+                     - 2.0 * m * lb * poly * em - 2.0 * lb * q * e1)
             return value, slope
-        lb = spec.log_beta.real
-        m = spec.m
-        p0, p1, p2 = _shear_polynomials(spec, z)
-        q = np.abs(z[..., 1]) ** 2
-        em = np.exp(-2.0 * m * r * lb)
-        e1 = np.exp(-2.0 * r * lb)
-        poly = p0 - 2.0 * r * p1 + r**2 * p2
-        value = poly * em + q * e1 - 1.0
-        slope = (-2.0 * p1 + 2.0 * r * p2) * em - 2.0 * m * lb * poly * em - 2.0 * lb * q * e1
-        return value, slope
+
+    def shear_value(self, r: np.ndarray) -> np.ndarray:
+        """G alone at r for a shear, computed in the memory of r (which it
+        overwrites) and one more array: the polynomial in Horner form and
+        e^{-2 m r log|beta|} as the m-th power of e^{-2 r log|beta|}."""
+        value = r * self.p2
+        value -= 2.0 * self.p1
+        value *= r
+        value += self.p0
+        r *= -2.0 * self.spec.log_beta.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(r, out=r)
+            for _ in range(self.spec.m):
+                value *= r
+            r *= self.q
+            value += r
+        value -= 1.0
+        return value
+
+
+def _indices(mask: np.ndarray) -> list:
+    """Sample indices at which mask holds, in a flat batch."""
+    return np.flatnonzero(mask).tolist()
+
+
+def _refuse_nan(value: np.ndarray, where: str):
+    """BeyondPrecision naming the samples whose G is NaN somewhere on
+    value's leading axes: a zero modulus times an overflowed exponential,
+    a point whose radial time leaves double precision.  An overflow to
+    +inf alone keeps its sign and is solved."""
+    nan = np.isnan(value)
+    if nan.ndim > 1:
+        nan = np.any(nan, axis=tuple(range(nan.ndim - 1)))
+    if np.any(nan):
+        raise BeyondPrecision(
+            f"radial time beyond double precision at sample indices "
+            f"{_indices(nan)}: G is NaN {where}")
+
+
+def _closed_form_bracket(g: _RadialEquation):
+    """Ends lo <= hi of a diagonal flow's radial time, in closed form.
+
+    G + 1 = |z1|^2 e^{-2 r l_1} + |z2|^2 e^{-2 r l_2} with l_i = log|alpha|,
+    log|beta| < 0 is increasing and convex in r, and lies between
+    |x|^2 e^{-2 r min l} and |x|^2 e^{-2 r max l}, so the root lies between
+    log|x|^2 / (2 min l) and log|x|^2 / (2 max l).  By convexity of exp
+    (Jensen), G + 1 >= |x|^2 e^{-2 r lbar} with lbar the mean of the l_i
+    weighted by |z_i|^2, so hi = log|x|^2 / (2 lbar), which lies in that
+    bracket, is an upper end too.
+    """
+    spec = g.spec
+    la, lb = spec.log_alpha.real, spec.log_beta.real
+    norm2 = g.p0 + g.q
+    log_norm2 = np.log(norm2)
+    lo = np.minimum(log_norm2 / (2.0 * min(la, lb)),
+                    log_norm2 / (2.0 * max(la, lb)))
+    hi = log_norm2 / (2.0 * (g.p0 * la + g.q * lb) / norm2)
+    return lo, hi
+
+
+def _diagonal_bracket(g: _RadialEquation):
+    """The closed-form bracket, checked: lo, hi with G(lo) < 0 <= G(hi),
+    and G, dG/dr at hi.  Rounding can break an end (always when
+    |alpha| = |beta| or a coordinate is zero, where an end is the root);
+    such an end is moved out by eps (1 + |lo| + |hi|), four times more each
+    round, until G has the right sign there."""
+    lo, hi = _closed_form_bracket(g)
+    width = np.finfo(float).eps * (1.0 + np.abs(lo) + np.abs(hi))
+    for _ in range(32):
+        value, slope = g(np.stack([lo, hi]))
+        _refuse_nan(value, "at the ends of the closed-form bracket")
+        low = value[0] >= 0.0
+        high = value[1] < 0.0
+        if not np.any(low | high):
+            return lo, hi, value[1], slope[1]
+        lo = np.where(low, lo - width, lo)
+        hi = np.where(high, hi + width, hi)
+        width = 4.0 * width
+    raise AmbiguousRadialTime(
+        f"failed to bracket the radial time at sample indices "
+        f"{_indices(low | high)}")
+
+
+def _doubling_bracket(g: _RadialEquation):
+    """Expand [-1, 1] by doubling until G changes sign across the bracket
+    (shear flows)."""
+    lo = -np.ones(g.p0.shape)
+    hi = np.ones(g.p0.shape)
+    for _ in range(200):
+        glo = g.shear_value(lo.copy())
+        need = glo >= 0.0
+        if not np.any(need):
+            break
+        lo = np.where(need, 2.0 * lo, lo)
+    else:
+        raise AmbiguousRadialTime("failed to bracket the radial time from below")
+    for _ in range(200):
+        ghi = g.shear_value(hi.copy())
+        need = ghi <= 0.0
+        if not np.any(need):
+            break
+        hi = np.where(need, 2.0 * hi, hi)
+    else:
+        raise AmbiguousRadialTime("failed to bracket the radial time from above")
+    _refuse_nan(np.stack([glo, ghi]), "at the ends of the bracket")
+    return lo, hi
+
+
+def _sign_change_cell(g: _RadialEquation, lo, hi):
+    """The cell of a _SCAN_POINTS grid on the bracket [lo, hi] in which G
+    changes sign, with G < 0 at its lower and G >= 0 at its upper end; G
+    is evaluated on the whole (_SCAN_POINTS, N) grid at once.
+
+    Rejects brackets in which G changes sign more than once (possible only
+    for shear flows with large |lambda|).
+    """
+    grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    points = np.multiply.outer(grid, hi - lo)
+    points += lo
+    values = g.shear_value(points)
+    _refuse_nan(values, "on the multiple-root scan")
+    negative = values < 0.0
+    changed = negative[1:] != negative[:-1]
+    changes = np.sum(changed, axis=0)
+    if np.any(changes > 1):
+        raise AmbiguousRadialTime(
+            f"radial-time equation has multiple roots at sample indices "
+            f"{_indices(changes > 1)}; the shear coefficient |lambda| is too large"
+        )
+    cell = np.argmax(changed, axis=0)
+    return lo + grid[cell] * (hi - lo), lo + grid[cell + 1] * (hi - lo)
+
+
+def _rtsafe(g: _RadialEquation, lo, hi, value, slope):
+    """Newton from hi, where G = value >= 0 and dG/dr = slope, with a
+    bisection step wherever Newton would leave [lo, hi] (rtsafe; Press et
+    al., Numerical Recipes, sec. 9.4).  Each point stops once its step,
+    Newton or bisection, is at most _STEP_TOL * (1 + |r|), so its r does
+    not depend on the batch.  Returns r and G, dG/dr there."""
+    r = hi
+    moving = np.ones(r.shape, dtype=bool)
+    for _ in range(_NEWTON_ITERS):
+        lo = np.where(value < 0.0, r, lo)
+        hi = np.where(value < 0.0, hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r - value / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        settled = np.abs(step - r) <= _STEP_TOL * (1.0 + np.abs(r))
+        r = np.where(moving, step, r)
+        moving &= ~settled
+        value, slope = g(r)
+        if not np.any(moving):
+            break
+    return r, value, slope
 
 
 # ---------------------------------------------------------------------------
@@ -281,55 +447,6 @@ def _shear_parts(spec: FlowSpec, level: RadialLevel, x):
     return gx, grx, g_r, g_rr, gxx_dot
 
 
-def _bracket(spec: FlowSpec, x: np.ndarray):
-    """Expand [-1, 1] by doubling until G changes sign across the bracket."""
-    batch = np.asarray(x, dtype=float).shape[:-1]
-    lo = -np.ones(batch)
-    hi = np.ones(batch)
-    for _ in range(200):
-        glo, _ = _g_value_slope(spec, lo, x)
-        need = glo >= 0.0
-        if not np.any(need):
-            break
-        lo = np.where(need, 2.0 * lo, lo)
-    else:
-        raise AmbiguousRadialTime("failed to bracket the radial time from below")
-    for _ in range(200):
-        ghi, _ = _g_value_slope(spec, hi, x)
-        need = ghi <= 0.0
-        if not np.any(need):
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    else:
-        raise AmbiguousRadialTime("failed to bracket the radial time from above")
-    return lo, hi
-
-
-def _sign_change_cell(spec: FlowSpec, lo, hi, x):
-    """The cell of a _SCAN_POINTS grid on the bracket [lo, hi] in which G
-    changes sign, with G < 0 at its lower and G >= 0 at its upper end.
-
-    Rejects brackets in which G changes sign more than once (possible only
-    for shear flows with large |lambda|).
-    """
-    grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    values = np.stack(
-        [_g_value_slope(spec, lo + s * (hi - lo), x)[0] for s in grid], axis=0
-    )
-    signs = np.sign(values)
-    signs[signs == 0.0] = 1.0
-    changed = signs[1:] != signs[:-1]
-    changes = np.sum(changed, axis=0)
-    if np.any(changes > 1):
-        idx = np.argwhere(changes > 1).ravel().tolist()
-        raise AmbiguousRadialTime(
-            f"radial-time equation has multiple roots at sample indices {idx}; "
-            "the shear coefficient |lambda| is too large"
-        )
-    cell = np.argmax(changed, axis=0)
-    return lo + grid[cell] * (hi - lo), lo + grid[cell + 1] * (hi - lo)
-
-
 # ---------------------------------------------------------------------------
 # the radial time r, the potential f = a^r and its derived forms
 # ---------------------------------------------------------------------------
@@ -353,66 +470,63 @@ class PotentialEval:
 class PotentialField:
     """The radial time r and the potential f = a^r of one flow.
 
-    ``solve`` performs the guarded cold start (bracket, multiple-root scan,
-    safeguarded Newton); ``level`` takes the factors that depend on a known
-    r alone, ``grad_hess_dot`` grad f and Hess f . D on that level set, and
-    ``value_grad_hess`` f and its derivatives, all with no root solve;
-    ``f_value`` is f alone; ``potential`` evaluates and checks a point set
-    once.
+    ``solve`` performs the guarded cold start (bracket, the multiple-root
+    scan of a shear, safeguarded Newton); ``level`` takes the factors that
+    depend on a known r alone, ``grad_hess_dot`` grad f and Hess f . D on
+    that level set, and ``value_grad_hess`` f and its derivatives, all with
+    no root solve; ``f_value`` is f alone; ``potential`` evaluates and
+    checks a point set once.
     """
 
     def __init__(self, spec: FlowSpec):
         self.spec = spec
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """Radial time r at x: Newton from the upper end of G's sign-change
-        cell, with a bisection step wherever Newton would leave the cell
-        (rtsafe; Press et al., Numerical Recipes, sec. 9.4).  Each point
-        stops at its own small Newton step, so its r does not depend on the
-        batch.  The root must meet |G| <= ROOT_TOL and dG/dr > 0.
+        """Radial time r at x (..., 4), shaped (...).
+
+        G's moduli are formed once (``_RadialEquation``).  A diagonal flow
+        has G increasing and convex in r: its bracket is closed-form and
+        Newton from the upper end decreases monotonically to the root
+        (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations
+        in Several Variables, sec. 13.3).  A shear doubles a bracket and
+        scans it at _SCAN_POINTS points for its one sign-change cell,
+        refusing several with AmbiguousRadialTime; Newton starts at the
+        cell's upper end.  Both then run ``_rtsafe``.  The root must meet
+        |G| <= ROOT_TOL and dG/dr > 0.
 
         A point whose |x|^2 is not a positive finite double (the origin, a
         NaN or infinite coordinate) has no radial time and raises
-        GroupDataError before any bracketing."""
+        GroupDataError before any bracketing; one whose G is NaN on the
+        bracket or the scan raises BeyondPrecision.  Sample indices are
+        positions in the flattened batch."""
         x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            norm2 = np.sum(x * x, axis=-1)
+            norm2 = np.sum(points * points, axis=-1)
         outside = ~((norm2 > 0.0) & np.isfinite(norm2))
         if np.any(outside):
             raise GroupDataError(
                 f"points without a radial time at sample indices "
-                f"{np.argwhere(outside).ravel().tolist()}: |x|^2 must be a "
-                "positive finite number")
-        lo, hi = _sign_change_cell(self.spec, *_bracket(self.spec, x), x)
-        r = hi
-        moving = np.ones(np.shape(r), dtype=bool)
-        for _ in range(_NEWTON_ITERS):
-            value, slope = _g_value_slope(self.spec, r, x)
-            lo = np.where(value < 0.0, r, lo)
-            hi = np.where(value < 0.0, hi, r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = r - value / slope
-            newton = (lo <= step) & (step <= hi)
-            settled = newton & (np.abs(step - r) <= _STEP_TOL * (1.0 + np.abs(r)))
-            r = np.where(moving, np.where(newton, step, 0.5 * (lo + hi)), r)
-            moving &= ~settled
-            if not np.any(moving):
-                break
-        value, slope = _g_value_slope(self.spec, r, x)
-        unpolished = np.abs(value) > ROOT_TOL
+                f"{_indices(outside)}: |x|^2 must be a positive finite number")
+        g = _RadialEquation(self.spec, points)
+        if self.spec.kind == "diagonal":
+            lo, hi, value, slope = _diagonal_bracket(g)
+        else:
+            lo, hi = _sign_change_cell(g, *_doubling_bracket(g))
+            value, slope = g(hi)
+        r, value, slope = _rtsafe(g, lo, hi, value, slope)
+        unpolished = ~(np.abs(value) <= ROOT_TOL)
         if np.any(unpolished):
             raise AmbiguousRadialTime(
-                f"Newton polish failed at sample indices "
-                f"{np.argwhere(unpolished).ravel().tolist()}, "
+                f"Newton polish failed at sample indices {_indices(unpolished)}, "
                 f"max |G| = {np.max(np.abs(value)):.3e}"
             )
         if np.any(slope <= 0.0):
             raise AmbiguousRadialTime(
                 f"dG/dr <= 0 at the roots of sample indices "
-                f"{np.argwhere(slope <= 0.0).ravel().tolist()}; "
-                "monotonicity certificate failed"
+                f"{_indices(slope <= 0.0)}; monotonicity certificate failed"
             )
-        return r
+        return r.reshape(x.shape[:-1])
 
     def f_value(self, x: np.ndarray) -> np.ndarray:
         """f = a^r at x: one root solve, no derivatives, no positivity check."""
@@ -511,19 +625,17 @@ def verify_rescaling(spec: FlowSpec, element, pot: PotentialEval) -> np.ndarray:
 
 def verify_h_invariance(spec: FlowSpec, elements, pot: PotentialEval) -> np.ndarray:
     """Per-sample worst relative residual of f(h z) = f(z) over the closure,
-    at the points of pot.
+    at the points of pot; the images under every element are solved as one
+    batch.
 
     For shear flows this passes exactly when eps^{m+1} = 1, i.e. under the
     m = k*ell - 1 constraint; the residual is order one otherwise.
     """
-    pf = PotentialField(spec)
-    f_x = pot.f
-    worst = np.zeros(f_x.shape)
-    for h in elements:
-        elem = h if isinstance(h, UnitaryElement) else UnitaryElement(h)
-        f_img = pf.f_value(apply_group_element(elem, pot.x))
-        worst = np.maximum(worst, np.abs(f_img - f_x) / f_x)
-    return worst
+    unitary = [h if isinstance(h, UnitaryElement) else UnitaryElement(h)
+               for h in elements]
+    images = np.stack([apply_group_element(h, pot.x) for h in unitary])
+    f_img = PotentialField(spec).f_value(images)
+    return np.max(np.abs(f_img - pot.f) / pot.f, axis=0)
 
 
 def fundamental_annulus_sample(rng_seed: int, contraction: ContractionParams | FlowSpec,

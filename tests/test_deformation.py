@@ -56,15 +56,15 @@ DOP853_NODES = (
 
 class TestHamiltonianField:
     def test_reference_point(self):
-        x_vec, _ = hamiltonian_field(flow_spec_for(CASE_A),
-                                     np.array([[1.0, 0, 0, 0]]))
+        x_vec = hamiltonian_field(flow_spec_for(CASE_A),
+                                  np.array([[1.0, 0, 0, 0]]))
         assert np.allclose(x_vec, [[0.0, 0.0, -2.0, 0.0]], atol=1e-12)
 
     def test_complex_form_of_equal_moduli_field(self):
         # for f = |z|^2 the field reads zdot1 = 2 conj(z2), zdot2 = -2 conj(z1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 4))
-        x_vec, _ = hamiltonian_field(flow_spec_for(CASE_A), x)
+        x_vec = hamiltonian_field(flow_spec_for(CASE_A), x)
         z = to_complex(x)
         dz = to_complex(x_vec)
         assert np.max(np.abs(dz[:, 0] - 2 * np.conj(z[:, 1]))) < 1e-11
@@ -74,7 +74,7 @@ class TestHamiltonianField:
         # i_X Phi = df is a linear solve: check the 1-form i_X Phi directly
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(1, CASE_B, 20)
-        x_vec, _ = hamiltonian_field(spec, x)
+        x_vec = hamiltonian_field(spec, x)
         pf = PotentialField(spec)
         _, grad, _ = pf.value_grad_hess(x, pf.potential(x).r)
         contraction = np.einsum("...i,ij->...j", x_vec, HOLO_RE)
@@ -159,21 +159,21 @@ class TestIntegrateFlow:
         import biherm.potentials as potentials
 
         calls = []
-        value_slope = potentials._g_value_slope
+        value_slope = potentials._RadialEquation.__call__
 
-        def counting(*args):
-            calls.append(None)
-            return value_slope(*args)
+        def counting(self, r):
+            calls.append(np.size(r))
+            return value_slope(self, r)
 
-        monkeypatch.setattr(potentials, "_g_value_slope", counting)
+        monkeypatch.setattr(potentials._RadialEquation, "__call__", counting)
         spec = flow_spec_for(CASE_C)
         x = fundamental_annulus_sample(21, CASE_C, 8)
         counts = []
         for t in (0.1, 0.5):
             calls.clear()
             integrate_flow(spec, t, x)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            counts.append(sum(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_quotient_forms_and_sweep_reuse_the_radial_time(self, monkeypatch):
         # the state carries r, so the quotient forms solve nothing, and the

@@ -5,14 +5,28 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import biherm.potentials as potentials
 
 from biherm.deformation import integrate_flow
-from biherm.errors import AmbiguousRadialTime, GroupDataError, NotPlurisubharmonic
+from biherm.errors import (
+    AmbiguousRadialTime,
+    BeyondPrecision,
+    GroupDataError,
+    NotPlurisubharmonic,
+)
 from biherm.exterior import J_STD, KAHLER_STD, invariant_part, metric_from_form, min_metric_eigenvalue
-from biherm.hopf_groups import ContractionParams, ContractionPower, group_closure
+from biherm.hopf_groups import (
+    ContractionParams,
+    ContractionPower,
+    UnitaryElement,
+    apply_group_element,
+    group_closure,
+)
 from biherm.potentials import (
+    MIN_MULTIPLIER,
     FlowSpec,
     PotentialField,
     flow_apply,
@@ -28,6 +42,7 @@ CASE_A_CPLX = ContractionParams(0.3 + 0.4j, 0.3 - 0.4j)
 CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
 SHEAR_M2 = ContractionParams(0.49, 0.7, lam=0.05, m=2)
+SMALL_MULTIPLIER = ContractionParams(0.01, 0.01)
 # alpha = beta^3; the radial time only reads log|beta|, m and lhat
 SHEAR_M3 = FlowSpec("shear", complex(3 * np.log(0.7), 0.3),
                     complex(np.log(0.7), 0.1), 3, 0.04 - 0.03j)
@@ -158,22 +173,29 @@ class TestRadialTime:
 
     @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2))
     def test_g_evaluations_per_solve(self, monkeypatch, params):
-        # bracket (2), multiple-root scan (64), then a few safeguarded
-        # Newton steps and the final check
-        calls = []
-        g_value_slope = potentials._g_value_slope
+        # radial times at which G is evaluated, per point.  Diagonal: the
+        # closed-form bracket's two ends (and once more if rounding moves
+        # one), then monotone Newton.  Shear: bracket (2), multiple-root
+        # scan (64), Newton from the cell's upper end.
+        per_point = []
+        equation = potentials._RadialEquation
 
-        def counting(*args):
-            calls.append(None)
-            return g_value_slope(*args)
+        def counting(method):
+            def wrapped(self, r):
+                per_point.append(np.size(r) / self.p0.size)
+                return method(self, r)
+            return wrapped
 
+        monkeypatch.setattr(equation, "__call__", counting(equation.__call__))
+        monkeypatch.setattr(equation, "shear_value",
+                            counting(equation.shear_value))
         spec = flow_spec_for(params)
         x = fundamental_annulus_sample(3, params, 200)
-        monkeypatch.setattr(potentials, "_g_value_slope", counting)
         PotentialField(spec).solve(x)
-        assert len(calls) <= 75
+        assert sum(per_point) <= (10 if spec.kind == "diagonal" else 75)
 
-    @pytest.mark.parametrize("params", (CASE_B, CASE_C, SHEAR_M2))
+    @pytest.mark.parametrize("params", (CASE_B, CASE_C, SHEAR_M2, CASE_A_CPLX,
+                                        SMALL_MULTIPLIER))
     def test_matches_mpmath_root(self, params):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
@@ -196,7 +218,7 @@ class TestRadialTime:
             assert abs(float(mp.findroot(g, mp.mpf(float(ri)))) - ri) < 1e-15
 
     def test_failed_polish_names_the_samples(self, monkeypatch):
-        # no Newton step leaves r at the upper end of the scan cell
+        # no Newton step leaves r at the upper end of the bracket
         monkeypatch.setattr(potentials, "_NEWTON_ITERS", 0)
         x = fundamental_annulus_sample(3, CASE_B, 4)
         with pytest.raises(AmbiguousRadialTime,
@@ -213,18 +235,22 @@ class TestRadialTime:
             lam=0.18887293088847298 - 0.053856476377135455j, m=3))
         x = np.array([[0.4201743341002648, -0.11164715363458058,
                        0.9002882907661116, -0.6240144992124141]])
-        lo, hi = potentials._sign_change_cell(
-            spec, *potentials._bracket(spec, x), x)
+        equation = potentials._RadialEquation
+        g = equation(spec, x)
+        lo, hi = potentials._sign_change_cell(g, *potentials._doubling_bracket(g))
         seen = []
-        g_value_slope = potentials._g_value_slope
+        value_slope = equation.__call__
 
-        def recording(spec, r, x):
-            seen.append(r)
-            return g_value_slope(spec, r, x)
+        def recording(self, r):
+            seen.append(np.copy(r))
+            return value_slope(self, r)
 
-        monkeypatch.setattr(potentials, "_g_value_slope", recording)
+        # every G and dG/dr of the solve: the cell's upper end, then each
+        # Newton or bisection iterate (the bracket and the scan take G alone)
+        monkeypatch.setattr(equation, "__call__", recording)
         r = PotentialField(spec).solve(x)
-        iterates = np.array(seen[2 + potentials._SCAN_POINTS:])
+        iterates = np.concatenate(seen)
+        assert iterates[0] == hi[0] and len(iterates) > 8
         assert np.all((lo <= iterates) & (iterates <= hi))
         assert r == pytest.approx(-0.30158417115376494, abs=1e-15)  # mpmath
 
@@ -236,6 +262,62 @@ class TestRadialTime:
         r = PotentialField(spec).solve(x)
         alone = [PotentialField(spec).solve(xi[None]) for xi in x]
         assert np.array_equal(r, np.concatenate(alone))
+
+    @pytest.mark.parametrize("params", (CASE_A_CPLX, CASE_B, SMALL_MULTIPLIER))
+    def test_diagonal_solve_is_batch_independent(self, params):
+        # the closed-form bracket moves an end out only where that point's
+        # own G has the wrong sign there, and Newton stops per point
+        spec = flow_spec_for(params)
+        x = fundamental_annulus_sample(5, params, 30) * np.exp(
+            np.linspace(-3, 3, 30))[:, None]
+        x[:3, 2:] = 0.0  # zero coordinates: an end of the bracket is the root
+        r = PotentialField(spec).solve(x)
+        alone = [PotentialField(spec).solve(xi) for xi in x]
+        assert np.array_equal(r, np.array(alone))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_a=st.floats(np.log(MIN_MULTIPLIER), -1e-3),
+        share=st.one_of(st.just(0.5), st.floats(1e-6, 0.5)),
+        direction=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                           min_size=4, max_size=4),
+        log10_norm=st.floats(-150.0, 150.0),
+    )
+    def test_closed_form_bracket_holds_the_root(self, log_a, share, direction,
+                                                log10_norm):
+        # in exact arithmetic, G(lo) <= 0 <= G(hi); the computed ends carry
+        # the rounding of log|x|^2 / (2 l), which is below 16 eps
+        # (|end| + 1 / |max l|)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        direction = np.array(direction)
+        assume(np.linalg.norm(direction) > 1e-3)
+        x = direction / np.linalg.norm(direction) * 10.0**log10_norm
+        la, lb = (1.0 - share) * log_a, share * log_a  # |alpha| <= |beta|
+        spec = FlowSpec("diagonal", complex(la, 0.0), complex(lb, 0.0))
+        lo, hi = potentials._closed_form_bracket(
+            potentials._RadialEquation(spec, x[None]))
+        m1 = sum(mp.mpf(float(c)) ** 2 for c in x[:2])
+        m2 = sum(mp.mpf(float(c)) ** 2 for c in x[2:])
+
+        def g(t):
+            return (m1 * mp.exp(-2 * t * mp.mpf(la))
+                    + m2 * mp.exp(-2 * t * mp.mpf(lb)) - 1)
+
+        eps = np.finfo(float).eps
+        for end, sign in ((lo[0], -1), (hi[0], 1)):
+            slack = 16 * eps * (abs(end) + 1 / abs(lb))
+            assert sign * g(mp.mpf(float(end)) + sign * mp.mpf(slack)) >= 0
+
+    @pytest.mark.parametrize("x", (np.array([1e-150, 0.0, 0.0, 0.0]),
+                                   np.array([[0.5, 0.0, 0.0, 0.0],
+                                             [1e-150, 0.0, 0.0, 0.0]])))
+    def test_nan_on_the_bracket_is_beyond_precision(self, x):
+        # z2 = 0 and a bracket end far enough out that its exponential
+        # overflows: 0 * inf is NaN, which is no sign and no second root
+        with pytest.raises(BeyondPrecision,
+                           match=r"sample indices \[%d\]" % (x.ndim - 1)):
+            PotentialField(flow_spec_for(CASE_C)).solve(x)
 
     def test_shear_multiple_roots_rejected(self):
         # a huge shear coefficient makes |z1 - r lhat z2|^2 dip through the
@@ -415,7 +497,24 @@ class TestInvariances:
         closure = group_closure([np.diag([np.exp(2j * np.pi / 3),
                                           np.exp(-2j * np.pi / 3)])])
         verify_h_invariance(spec, closure, PotentialField(spec).potential(samples))
-        assert len(solved) == 1 + len(closure)
+        # the samples once, then the images under every element as one batch
+        assert len(solved) == 2
+
+    @pytest.mark.parametrize("params", (CASE_A_CPLX, CASE_C))
+    def test_h_invariance_batch_equals_one_solve_per_element(self, params):
+        spec = flow_spec_for(params)
+        pf = PotentialField(spec)
+        pot = pf.potential(fundamental_annulus_sample(31, params, 40))
+        closure = group_closure(
+            [np.array([[0, 1], [-1, 0]], dtype=complex), np.diag([1j, -1j])]
+            if params is CASE_A_CPLX else [-np.eye(2)])
+        per_element = np.zeros(pot.f.shape)
+        for h in closure:
+            f_img = pf.f_value(apply_group_element(UnitaryElement(h), pot.x))
+            per_element = np.maximum(per_element,
+                                     np.abs(f_img - pot.f) / pot.f)
+        assert np.array_equal(verify_h_invariance(spec, closure, pot),
+                              per_element)
 
     def test_shear_invariance_requires_constraint(self):
         spec = flow_spec_for(CASE_C)
