@@ -16,7 +16,9 @@ linear-solve tier (1e-9); identities involving derivatives are checked by
 Richardson finite differences of the whole pipeline on one stencil cloud
 per sample with mixed corners, at STENCIL_SCALE * fd_step: its axial rows
 give every first partial, its corners and its copy of the base point the
-second partials that the partials of the Lee forms need.  Tiers grow with
+second partials that the partials of the Lee forms need.  Each sample's
+cloud is integrated in one batch with its images under the deck group,
+which the equivariance families read.  Tiers grow with
 the derivative order (1e-6 for first derivatives, 1e-5..1e-4 for products
 of them and for d(theta_+ + theta_-), 1e-3 for the Lee scalar identity).
 Lee forms use theta = J(delta F) with delta = -*d* throughout.
@@ -175,8 +177,9 @@ class BihermitianSample:
 
 def assemble_from_triple(triple: QuotientTriple,
                          state: DeformationState) -> BihermitianSample:
-    """Pointwise assembly (no Lee forms; those need a field, see
-    ``StructureField.lee_forms``); the margin is reported, not checked."""
+    """Pointwise assembly (no Lee forms; those need the structure on a
+    stencil cloud, see ``StructureField.lee_forms``); the margin is
+    reported, not checked."""
     j_minus, g, margin, p = structure_from_triple(triple)
     comm = (np.einsum("ij,...jk->...ik", J_STD, j_minus)
             - np.einsum("...ij,jk->...ik", j_minus, J_STD))
@@ -237,7 +240,9 @@ class StructureField:
 
     Every evaluation integrates the deformation flow from scratch at the
     requested points, so finite differences across this field see the whole
-    construction (root solve, flow, pullback, linear algebra).
+    construction (root solve, flow, pullback, linear algebra).  A
+    certificate evaluates it once, on each kept sample's stencil cloud and
+    deck images together (``check_field_families``).
     """
 
     def __init__(self, spec: FlowSpec, t: float, ode_tol: float = DEFAULT_ODE_TOL,
@@ -253,7 +258,8 @@ class StructureField:
     def assemble(self, x: np.ndarray) -> BihermitianSample:
         """Assembled structure at x (batched, chunked, thread-mapped).  Each
         chunk is one integration, with one step sequence; an entry of the
-        leading axis (a stencil cloud) never straddles two chunks."""
+        leading axis (one sample's cloud and images) never straddles two
+        chunks."""
         def run(chunk):
             state = integrate_flow(self.spec, self.t, chunk, self.ode_tol)
             s = assemble_from_triple(quotient_triple(self.spec, state), state)
@@ -264,16 +270,25 @@ class StructureField:
 
     # -- Lee forms -------------------------------------------------------------
 
-    def lee_forms(self, center: BihermitianSample) -> LeeForms:
-        """Lee forms at the points of an assembled sample, from the structure
-        assembled on one mixed stencil cloud (step STENCIL_SCALE * fd_step)
-        whose rows also feed every other derivative family.  A cloud is
-        integrated in one piece, so its arms and its centre share one step
-        sequence."""
-        cloud = StencilCloud(center.x,
-                             stencil_step(center.x, STENCIL_SCALE * self.fd_step),
-                             mixed=True)
-        return lee_theta_from_cloud(center, cloud, self.assemble(cloud.points))
+    def stencil(self, x: np.ndarray) -> StencilCloud:
+        """The mixed stencil cloud (step STENCIL_SCALE * fd_step) around each
+        point of x, whose rows feed every derivative family."""
+        return StencilCloud(x, stencil_step(x, STENCIL_SCALE * self.fd_step),
+                            mixed=True)
+
+    def lee_forms(self, center: BihermitianSample,
+                  sc: BihermitianSample) -> LeeForms:
+        """Lee forms at the points of an assembled sample, from ``sc``, the
+        structure assembled on ``self.stencil(center.x)``.  A cloud must be
+        integrated in one piece, so that its arms and its centre share one
+        step sequence."""
+        return lee_theta_from_cloud(center, self.stencil(center.x), sc)
+
+
+def deck_images(elements, x: np.ndarray) -> np.ndarray:
+    """Images of the points x (n, 4) under each deck element, (n, k, 4)."""
+    return np.stack([apply_group_element(elem, x) for elem in elements],
+                    axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +357,12 @@ def check_pointwise_algebra(s: BihermitianSample) -> dict[str, np.ndarray]:
 def lee_differentials(center, lee: LeeForms):
     """(delta theta_+, delta theta_-, d(theta_+ + theta_-)) at the base points.
 
-    ``lee`` is ``field.lee_forms(center)``.  theta = J^T u with u = *d*F is
-    algebra in g, J and the first partials of *F; its partials are the exact
-    linearisation of that algebra, fed by the first partials of g, j_minus
-    and *F and the second partials of *F, all from the mixed cloud of
-    ``lee``, whose base row is also the centre of the second differences.
+    ``lee`` is ``field.lee_forms`` at ``center``.  theta = J^T u with
+    u = *d*F is algebra in g, J and the first partials of *F; its partials
+    are the exact linearisation of that algebra, fed by the first partials
+    of g, j_minus and *F and the second partials of *F, all from the mixed
+    cloud of ``lee``, whose base row is also the centre of the second
+    differences.
     ``center`` needs g and j_minus.
     """
     ginv = np.linalg.inv(center.g)
@@ -368,20 +384,20 @@ def lee_differentials(center, lee: LeeForms):
             d_sum - np.swapaxes(d_sum, -1, -2))
 
 
-def check_differential_identities(field: StructureField,
-                                  center: BihermitianSample) -> dict[str, np.ndarray]:
+def check_differential_identities(center: BihermitianSample,
+                                  lee: LeeForms) -> dict[str, np.ndarray]:
     """Residuals of every identity that involves derivatives of the fields.
 
-    The structure is assembled once, on the mixed cloud of
-    ``field.lee_forms``.  Its axial rows feed the first-derivative families
-    (Leibniz rules of the quotient forms, the canonical-factor equation, the
-    (1,2) component, the Nijenhuis tensor, theta_+ + theta_- = 2 tau); its
-    corners add the second partials of *F_pm that the partials of theta_pm
-    need (``lee_differentials``) for the Lee-form scalar identity, the
-    selfdual part of d(theta_+ + theta_-) and its closedness.  ``center`` is
-    the structure already assembled at the base points.
+    ``lee`` is ``field.lee_forms`` on the structure assembled on the mixed
+    cloud around the base points.  Its axial rows feed the first-derivative
+    families (Leibniz rules of the quotient forms, the canonical-factor
+    equation, the (1,2) component, the Nijenhuis tensor,
+    theta_+ + theta_- = 2 tau); its corners add the second partials of
+    *F_pm that the partials of theta_pm need (``lee_differentials``) for
+    the Lee-form scalar identity, the selfdual part of d(theta_+ + theta_-)
+    and its closedness.  ``center`` is the structure already assembled at
+    the base points.
     """
-    lee = field.lee_forms(center)
     cloud, sc = lee.cloud, lee.sc
     theta_plus, theta_minus = lee.theta_plus, lee.theta_minus
     out: dict[str, np.ndarray] = {}
@@ -442,26 +458,52 @@ def check_differential_identities(field: StructureField,
     return out
 
 
-def check_gamma_equivariance(field: StructureField, s0: BihermitianSample,
+def check_gamma_equivariance(s0: BihermitianSample, images: BihermitianSample,
                              elements) -> dict[str, np.ndarray]:
     """Residuals of g and j_minus equivariance under deck transformations.
 
-    For each element the structure computed at gamma(x) must agree with the
-    pushforward of the structure ``s0`` already assembled at x.
+    ``images`` is the structure assembled at ``deck_images(elements,
+    s0.x)``, shape (n, k, ...).  For each element the structure at
+    gamma(x) must agree with the pushforward of the structure ``s0``
+    already assembled at x.
     """
     x = s0.x
     res_g = np.zeros(x.shape[0])
     res_j = np.zeros(x.shape[0])
-    for elem in elements:
-        y = apply_group_element(elem, x)
+    for e, elem in enumerate(elements):
         dg = jacobian(elem, x)
-        sy = field.assemble(y)
-        pulled_g = np.einsum("...ji,...jk,...kl->...il", dg, sy.g, dg)
+        pulled_g = np.einsum("...ji,...jk,...kl->...il", dg, images.g[:, e], dg)
         res_g = np.maximum(res_g, _rel(pulled_g, s0.g))
         pulled_j = np.einsum("...ij,...jk,...kl->...il",
-                             np.linalg.inv(dg), sy.j_minus, dg)
+                             np.linalg.inv(dg), images.j_minus[:, e], dg)
         res_j = np.maximum(res_j, _rel(pulled_j, s0.j_minus))
     return {"equivariance_metric": res_g, "equivariance_j_minus": res_j}
+
+
+def check_field_families(field: StructureField, center: BihermitianSample,
+                         elements, with_differential: bool
+                         ) -> dict[str, np.ndarray]:
+    """Residuals of the families that read the structure away from the
+    assembled samples ``center``: deck equivariance under ``elements`` and,
+    ``with_differential``, every derivative family.
+
+    The field is evaluated once: each sample's stencil cloud rows (with
+    ``with_differential``), then its k deck images, as one entry of the
+    leading axis, shape (n, 65 + k, 4) or (n, k, 4).  A chunk of the
+    parallel map holds whole entries, so a sample's cloud and images share
+    one step sequence and chunking does not depend on the thread count.
+    """
+    k = len(elements)
+    rows = deck_images(elements, center.x)
+    if with_differential:
+        rows = np.concatenate([field.stencil(center.x).points, rows], axis=-2)
+    flowed = field.assemble(rows)
+    out = check_gamma_equivariance(center, flowed.subset(np.s_[:, -k:]),
+                                   elements)
+    if with_differential:
+        lee = field.lee_forms(center, flowed.subset(np.s_[:, :-k]))
+        out.update(check_differential_identities(center, lee))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +670,10 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     results = {name: value[idx] for name, value in every.items()}
 
     results.update(check_pointwise_algebra(kept))
-    if cfg.with_differential:
-        results.update(check_differential_identities(field_, kept))
     elements = [ContractionPower(cfg.data.contraction, 1)]
     elements += [UnitaryElement(g) for g in cfg.data.h_generators]
-    results.update(check_gamma_equivariance(field_, kept, elements))
+    results.update(check_field_families(field_, kept, elements,
+                                        cfg.with_differential))
 
     identities = {name: residual_stats(value) for name, value in results.items()}
     # a pass needs every family at tier on exactly the kept samples

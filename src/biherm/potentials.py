@@ -163,10 +163,11 @@ class _RadialEquation:
             self.p1 = (np.conj(z[:, 0]) * s).real
             self.p2 = np.abs(s) ** 2
 
-    def __call__(self, r: np.ndarray):
-        """G and dG/dr at r."""
+    def __call__(self, r: np.ndarray, at=slice(None)):
+        """G and dG/dr at r, at the points ``at`` (an index of the N
+        points)."""
         spec = self.spec
-        p0, q = self.p0, self.q
+        p0, q = self.p0[at], self.q[at]
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "diagonal":
                 la, lb = spec.log_alpha.real, spec.log_beta.real
@@ -177,7 +178,7 @@ class _RadialEquation:
                 return value, slope
             lb = spec.log_beta.real
             m = spec.m
-            p1, p2 = self.p1, self.p2
+            p1, p2 = self.p1[at], self.p2[at]
             em = np.exp(-2.0 * m * r * lb)
             e1 = np.exp(-2.0 * r * lb)
             poly = p0 - 2.0 * r * p1 + r**2 * p2
@@ -186,20 +187,21 @@ class _RadialEquation:
                      - 2.0 * m * lb * poly * em - 2.0 * lb * q * e1)
             return value, slope
 
-    def shear_value(self, r: np.ndarray) -> np.ndarray:
-        """G alone at r for a shear, computed in the memory of r (which it
-        overwrites) and one more array: the polynomial in Horner form and
-        e^{-2 m r log|beta|} as the m-th power of e^{-2 r log|beta|}."""
-        value = r * self.p2
-        value -= 2.0 * self.p1
+    def shear_value(self, r: np.ndarray, at=slice(None)) -> np.ndarray:
+        """G alone at r for a shear, at the points ``at`` (an index of the
+        N points), computed in the memory of r (which it overwrites) and one
+        more array: the polynomial in Horner form and e^{-2 m r log|beta|}
+        as the m-th power of e^{-2 r log|beta|}."""
+        value = r * self.p2[at]
+        value -= 2.0 * self.p1[at]
         value *= r
-        value += self.p0
+        value += self.p0[at]
         r *= -2.0 * self.spec.log_beta.real
         with np.errstate(over="ignore", invalid="ignore"):
             np.exp(r, out=r)
             for _ in range(self.spec.m):
                 value *= r
-            r *= self.q
+            r *= self.q[at]
             value += r
         value -= 1.0
         return value
@@ -246,49 +248,56 @@ def _closed_form_bracket(g: _RadialEquation):
 
 
 def _diagonal_bracket(g: _RadialEquation):
-    """The closed-form bracket, checked: lo, hi with G(lo) < 0 <= G(hi),
-    and G, dG/dr at hi.  Rounding can break an end (always when
-    |alpha| = |beta| or a coordinate is zero, where an end is the root);
-    such an end is moved out by eps (1 + |lo| + |hi|), four times more each
-    round, until G has the right sign there."""
+    """The closed-form bracket with its upper end checked: lo, hi with
+    G(hi) >= 0, and G, dG/dr at hi.  G is increasing and convex in r, so
+    Newton from hi decreases monotonically to the root and lo is only the
+    safeguard of ``_rtsafe``: it is moved out by width = eps (1 + |lo| +
+    |hi|) and not evaluated, which also parts ends that coincide
+    (|alpha| = |beta|, where both are the root).  Rounding can break hi
+    (when it is the root); such an hi is moved out by width, four times
+    more each round, with G evaluated at those points alone, until
+    G(hi) >= 0."""
     lo, hi = _closed_form_bracket(g)
     width = np.finfo(float).eps * (1.0 + np.abs(lo) + np.abs(hi))
+    lo = lo - width
+    value = np.empty(hi.shape)
+    slope = np.empty(hi.shape)
+    need = np.ones(hi.shape, dtype=bool)
     for _ in range(32):
-        value, slope = g(np.stack([lo, hi]))
-        _refuse_nan(value, "at the ends of the closed-form bracket")
-        low = value[0] >= 0.0
-        high = value[1] < 0.0
-        if not np.any(low | high):
-            return lo, hi, value[1], slope[1]
-        lo = np.where(low, lo - width, lo)
-        hi = np.where(high, hi + width, hi)
+        value[need], slope[need] = g(hi[need], need)
+        _refuse_nan(value, "at the upper end of the closed-form bracket")
+        need = value < 0.0
+        if not np.any(need):
+            return lo, hi, value, slope
+        hi[need] += width[need]
         width = 4.0 * width
     raise AmbiguousRadialTime(
         f"failed to bracket the radial time at sample indices "
-        f"{_indices(low | high)}")
+        f"{_indices(need)}")
 
 
 def _doubling_bracket(g: _RadialEquation):
     """Expand [-1, 1] by doubling until G changes sign across the bracket
-    (shear flows)."""
-    lo = -np.ones(g.p0.shape)
-    hi = np.ones(g.p0.shape)
-    for _ in range(200):
-        glo = g.shear_value(lo.copy())
-        need = glo >= 0.0
-        if not np.any(need):
-            break
-        lo = np.where(need, 2.0 * lo, lo)
-    else:
-        raise AmbiguousRadialTime("failed to bracket the radial time from below")
-    for _ in range(200):
-        ghi = g.shear_value(hi.copy())
-        need = ghi <= 0.0
-        if not np.any(need):
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    else:
-        raise AmbiguousRadialTime("failed to bracket the radial time from above")
+    (shear flows); each round evaluates G only at the points whose end does
+    not yet have its sign."""
+    ends = []
+    for start, wrong, side in ((-1.0, np.greater_equal, "below"),
+                               (1.0, np.less_equal, "above")):
+        end = np.full(g.p0.shape, start)
+        value = np.empty(g.p0.shape)
+        need = np.ones(g.p0.shape, dtype=bool)
+        for _ in range(200):
+            value[need] = g.shear_value(end[need], need)
+            need = wrong(value, 0.0)
+            if not np.any(need):
+                break
+            end[need] *= 2.0
+        else:
+            raise AmbiguousRadialTime(
+                f"failed to bracket the radial time from {side} at sample "
+                f"indices {_indices(need)}")
+        ends.append((end, value))
+    (lo, glo), (hi, ghi) = ends
     _refuse_nan(np.stack([glo, ghi]), "at the ends of the bracket")
     return lo, hi
 

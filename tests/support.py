@@ -78,6 +78,13 @@ def d_three_form(cloud: StencilCloud, comps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def cloud_lee_forms(field, center):
+    """``field.lee_forms`` at an assembled sample, from the sample's stencil
+    cloud integrated on its own (a certificate integrates the cloud with the
+    deck images, ``check_field_families``)."""
+    return field.lee_forms(center, field.assemble(field.stencil(center.x).points))
+
+
 def check_integrability(jfield, x: np.ndarray) -> np.ndarray:
     """Max Nijenhuis component of an arbitrary sampled J-field at x.
 

@@ -18,6 +18,7 @@ from biherm.certificate import (
     assemble_from_triple,
     check_gamma_equivariance,
     check_pointwise_algebra,
+    deck_images,
     run_certificate,
 )
 from biherm.cli import main
@@ -258,8 +259,10 @@ def test_criterion_7_negative_controls():
     inv = float(np.max(verify_h_invariance(
         spec_c, [bad_eps], PotentialField(spec_c).potential(samples))))
     field = StructureField(spec_c, 0.25)
-    equi = check_gamma_equivariance(field, field.assemble(samples[:6]),
-                                    [UnitaryElement(bad_eps)])
+    bad_h = [UnitaryElement(bad_eps)]
+    equi = check_gamma_equivariance(
+        field.assemble(samples[:6]),
+        field.assemble(deck_images(bad_h, samples[:6])), bad_h)
     equi_res = float(np.max(equi["equivariance_metric"]))
     control_1 = inv > 10 * 1e-10 and equi_res > 10 * 1e-7
 

@@ -17,8 +17,10 @@ from biherm.certificate import (
     StructureField,
     assemble_from_triple,
     check_differential_identities,
+    check_field_families,
     check_gamma_equivariance,
     check_pointwise_algebra,
+    deck_images,
     lee_differentials,
     lee_theta_from_cloud,
     run_certificate,
@@ -40,6 +42,7 @@ from biherm.potentials import (
 from biherm.reporting import CHUNK, chunked_map
 from support import (
     check_integrability,
+    cloud_lee_forms,
     d_one_form,
     d_three_form,
     hodge_star_one,
@@ -52,6 +55,9 @@ CASE_B = ContractionParams(0.5, 0.6)
 CASE_C = ContractionParams(0.6, 0.6, lam=0.1, m=1)
 SHEAR_M2 = ContractionParams(0.36, 0.6, lam=0.05, m=2)
 EPS3 = np.exp(2j * np.pi / 3)
+# gamma and the generator of H = <diag(eps, 1/eps)>, eps^3 = 1, for CASE_B
+CASE_B_DECK = [ContractionPower(CASE_B, 1),
+               UnitaryElement(np.diag([EPS3, 1 / EPS3]))]
 
 
 def build_sample(params, t, n=20, seed=3):
@@ -95,7 +101,7 @@ class TestAssembly:
         state = integrate_flow(spec, 0.2, x)
         triple = quotient_triple(spec, state)
         sample = assemble_from_triple(triple, state)
-        lee = StructureField(spec, 0.2).lee_forms(sample)
+        lee = cloud_lee_forms(StructureField(spec, 0.2), sample)
         assert lee.theta_plus.shape == (3, 4)
         # on the quotient construction theta_+ + theta_- = 2 tau
         total = lee.theta_plus + lee.theta_minus
@@ -220,7 +226,7 @@ class TestLeeForms:
         field = StructureField(spec, 0.25)
         x = fundamental_annulus_sample(10, CASE_B, 4)
         center = field.assemble(x)
-        theta_plus = field.lee_forms(center).theta_plus
+        theta_plus = cloud_lee_forms(field, center).theta_plus
         for i in range(len(x)):
             y = x[i:i + 1]
             cloud = StencilCloud(y, stencil_step(y, 1e-3))
@@ -249,8 +255,8 @@ class TestLeeForms:
         x = fundamental_annulus_sample(11, CASE_B, 5)
         base = StructureField(spec, 0.25)
         scaled = RescaledField(spec, 0.25)
-        lee0 = base.lee_forms(base.assemble(x))
-        lee1 = scaled.lee_forms(scaled.assemble(x))
+        lee0 = cloud_lee_forms(base, base.assemble(x))
+        lee1 = cloud_lee_forms(scaled, scaled.assemble(x))
         shift = dphi(x)
         assert np.max(np.abs(lee1.theta_plus - lee0.theta_plus - shift)) < 1e-6
         assert np.max(np.abs(lee1.theta_minus - lee0.theta_minus - shift)) < 1e-6
@@ -262,7 +268,9 @@ class TestDifferentialBattery:
         spec = flow_spec_for(params)
         field = StructureField(spec, t)
         x = fundamental_annulus_sample(12, params, 6)
-        res = check_differential_identities(field, field.assemble(x))
+        center = field.assemble(x)
+        res = check_differential_identities(center,
+                                            cloud_lee_forms(field, center))
         tiers = {
             "quotient_leibniz_phi": 1e-6,
             "quotient_leibniz_psi_plus": 1e-6,
@@ -283,7 +291,7 @@ class TestDifferentialBattery:
         spec = flow_spec_for(params)
         field = StructureField(spec, 0.3)
         center = field.assemble(fundamental_annulus_sample(12, params, 6))
-        new = lee_differentials(center, field.lee_forms(center))
+        new = lee_differentials(center, cloud_lee_forms(field, center))
         reference = nested_lee_differentials(field, center)
         for name, a, b in zip(("delta_plus", "delta_minus", "d_sum"),
                               new, reference):
@@ -299,7 +307,7 @@ class TestDifferentialBattery:
         spec = flow_spec_for(CASE_B)
         field = StructureField(spec, 0.3)
         center = field.assemble(fundamental_annulus_sample(12, CASE_B, 4))
-        lee = field.lee_forms(center)
+        lee = cloud_lee_forms(field, center)
         nudged = replace(center, f_plus=center.f_plus * (1.0 + 1e-11),
                          f_minus=center.f_minus * (1.0 + 1e-11))
         for a, b in zip(lee_differentials(center, lee),
@@ -334,21 +342,41 @@ class TestDifferentialBattery:
         n = 127
         assert 65 * n > CHUNK > 65 * (n - 1)
         center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
-        together = lee_differentials(center, field.lee_forms(center))
+        together = lee_differentials(center, cloud_lee_forms(field, center))
         last = center.subset([n - 1])
-        alone = lee_differentials(last, field.lee_forms(last))
+        alone = lee_differentials(last, cloud_lee_forms(field, last))
         for a, b in zip(together, alone):
             a = a[n - 1:]
             assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))) < 1e-9
 
+    def test_no_sample_straddles_two_chunks(self):
+        # a certificate's batch at t holds each sample's 65 cloud rows and
+        # its k deck images as one entry; 67-row entries do not tile CHUNK,
+        # and the last of 123 samples would otherwise have its cloud in one
+        # chunk and its images in the next
+        spec = flow_spec_for(CASE_B)
+        field = StructureField(spec, 0.3)
+        elements = CASE_B_DECK
+        rows = 65 + len(elements)
+        n = 123
+        assert rows * (n - 1) < CHUNK < rows * n
+        center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
+        together = check_field_families(field, center, elements, True)
+        alone = check_field_families(field, center.subset([n - 1]), elements,
+                                     True)
+        assert len(together) == 12
+        for name, value in together.items():
+            assert abs(value[n - 1] - alone[name][0]) < 1e-9, name
+
     def test_flow_points_per_sample(self, monkeypatch):
-        # one integration of the 65-point mixed cloud (its base row the
-        # centre of the second differences) serves the first and the second
-        # partials
+        # one integration of each sample's 65-point mixed cloud (its base
+        # row the centre of the second differences) and its k deck images
+        # serves the first and second partials and equivariance
         import biherm.deformation
 
         spec = flow_spec_for(CASE_B)
         field = StructureField(spec, 0.3)
+        elements = CASE_B_DECK
         n = 3
         center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
         points = []
@@ -359,8 +387,8 @@ class TestDifferentialBattery:
             return flow_states(spec, t_values, x, *args)
 
         monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
-        check_differential_identities(field, center)
-        assert points == [65 * n]
+        check_field_families(field, center, elements, True)
+        assert points == [(65 + len(elements)) * n]
 
 
 class TestIntegrabilityDetector:
@@ -415,7 +443,9 @@ class TestEquivariance:
         x = fundamental_annulus_sample(15, params, 8)
         elements = [ContractionPower(params, 1)]
         elements += [UnitaryElement(g) for g in gens]
-        res = check_gamma_equivariance(field, field.assemble(x), elements)
+        res = check_gamma_equivariance(
+            field.assemble(x), field.assemble(deck_images(elements, x)),
+            elements)
         assert np.max(res["equivariance_metric"]) < 1e-7
         assert np.max(res["equivariance_j_minus"]) < 1e-7
 
@@ -424,8 +454,10 @@ class TestEquivariance:
         spec = flow_spec_for(CASE_C)
         field = StructureField(spec, 0.25)
         x = fundamental_annulus_sample(16, CASE_C, 8)
-        res = check_gamma_equivariance(field, field.assemble(x),
-                                       [UnitaryElement(np.diag([1j, -1j]))])
+        elements = [UnitaryElement(np.diag([1j, -1j]))]
+        res = check_gamma_equivariance(
+            field.assemble(x), field.assemble(deck_images(elements, x)),
+            elements)
         assert np.max(res["equivariance_metric"]) > 1e-3
 
 
@@ -443,8 +475,9 @@ class TestRunCertificate:
 
     def test_pool_sizes_give_identical_report_bytes(self, monkeypatch):
         # at CHUNK = 8192 a small run is one chunk and the pool never runs;
-        # at 130 each chunk holds two 65-point clouds, so the differential
-        # families take several chunks and threads = 2 runs them in the pool
+        # at 130 each chunk holds one sample's 67 rows (its 65-point cloud
+        # and its 2 deck images), so the batch at t takes several chunks and
+        # threads = 2 runs them in the pool
         monkeypatch.setattr(biherm.reporting, "CHUNK", 130)
         chunk_threads = []
         chunked = biherm.certificate.chunked_map
@@ -497,15 +530,15 @@ class TestRunCertificate:
     def test_each_base_point_is_integrated_once(self, monkeypatch):
         # base assembly integrates the n samples once (one chain from their
         # radial time); with a fixed t and no differential families the only
-        # other flow is equivariance, one integration of the n images per
-        # deck element
+        # other flow is equivariance, the n samples' images under each deck
+        # element, (n, k, 4)
         gens = (np.diag([EPS3, 1 / EPS3]),)
         data = HopfGroupData(CASE_B, gens)
         points = []
 
         def counting(orig):
             def wrapper(spec, t, x, *args, **kwargs):
-                points.append(np.atleast_2d(x).shape[0])
+                points.append(math.prod(np.atleast_2d(x).shape[:-1]))
                 return orig(spec, t, x, *args, **kwargs)
             return wrapper
 
@@ -543,6 +576,31 @@ class TestRunCertificate:
         report = run_certificate(cfg)
         assert report.passed and report.sweep is not None
         assert sum(of_samples) == 1
+
+    @pytest.mark.parametrize("with_differential", (True, False))
+    def test_two_flow_integrations_per_certificate(self, monkeypatch,
+                                                   with_differential):
+        # the sweep's one trajectory through its grid, then one batch at t*:
+        # each kept sample's 65 cloud rows (with the differential families)
+        # and its k deck images
+        import biherm.deformation
+
+        gens = (np.diag([EPS3, 1 / EPS3]),)
+        cfg = CertificateConfig(data=HopfGroupData(CASE_B, gens), n=4,
+                                with_differential=with_differential)
+        batches = []
+        flow_states = biherm.deformation._flow_states
+
+        def counting(spec, t_values, x, *args):
+            batches.append(np.atleast_2d(x).shape[:-1])
+            return flow_states(spec, t_values, x, *args)
+
+        monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
+        report = run_certificate(cfg)
+        assert report.passed and report.sweep is not None
+        kept = cfg.n - report.excluded_samples
+        rows = 65 * with_differential + 1 + len(gens)
+        assert batches == [(cfg.n,), (kept, rows)]
 
     @pytest.mark.parametrize("t", (None, 0.2))
     def test_samples_are_solved_once(self, monkeypatch, t):
@@ -592,7 +650,7 @@ class TestRunCertificate:
     def test_family_on_no_sample_fails_the_pass(self, monkeypatch):
         # a family evaluated on no sample sits at tier vacuously (max 0) and
         # must still fail the certificate
-        def unevaluated(field, s0, elements):
+        def unevaluated(s0, images, elements):
             return {"equivariance_metric": np.zeros(0),
                     "equivariance_j_minus": np.zeros(0)}
 

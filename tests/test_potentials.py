@@ -1,6 +1,7 @@
 """Radial time, potentials, their derivatives, and the invariance
 diagnostics."""
 
+import re
 import time
 
 import numpy as np
@@ -47,6 +48,24 @@ SMALL_MULTIPLIER = ContractionParams(0.01, 0.01)
 SHEAR_M3 = FlowSpec("shear", complex(3 * np.log(0.7), 0.3),
                     complex(np.log(0.7), 0.1), 3, 0.04 - 0.03j)
 ALL_CASES = (CASE_A, CASE_A_CPLX, CASE_B, CASE_C)
+
+
+def _count_g_evaluations(monkeypatch) -> list:
+    """Radial times at which the solve evaluates G, per point, one entry
+    per evaluation (G with dG/dr, or the shear's G alone)."""
+    per_point = []
+    equation = potentials._RadialEquation
+
+    def counting(method):
+        def wrapped(self, r, *args):
+            per_point.append(np.size(r) / self.p0.size)
+            return method(self, r, *args)
+        return wrapped
+
+    monkeypatch.setattr(equation, "__call__", counting(equation.__call__))
+    monkeypatch.setattr(equation, "shear_value",
+                        counting(equation.shear_value))
+    return per_point
 
 
 class TestFlow:
@@ -174,25 +193,60 @@ class TestRadialTime:
     @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2))
     def test_g_evaluations_per_solve(self, monkeypatch, params):
         # radial times at which G is evaluated, per point.  Diagonal: the
-        # closed-form bracket's two ends (and once more if rounding moves
-        # one), then monotone Newton.  Shear: bracket (2), multiple-root
-        # scan (64), Newton from the cell's upper end.
-        per_point = []
-        equation = potentials._RadialEquation
-
-        def counting(method):
-            def wrapped(self, r):
-                per_point.append(np.size(r) / self.p0.size)
-                return method(self, r)
-            return wrapped
-
-        monkeypatch.setattr(equation, "__call__", counting(equation.__call__))
-        monkeypatch.setattr(equation, "shear_value",
-                            counting(equation.shear_value))
+        # closed-form bracket's upper end (again where rounding moves it),
+        # then monotone Newton.  Shear: bracket (2, more where doubling
+        # moves an end), multiple-root scan (64), Newton from the cell's
+        # upper end.
+        per_point = _count_g_evaluations(monkeypatch)
         spec = flow_spec_for(params)
         x = fundamental_annulus_sample(3, params, 200)
         PotentialField(spec).solve(x)
         assert sum(per_point) <= (10 if spec.kind == "diagonal" else 75)
+
+    @pytest.mark.parametrize("params", (CASE_A, CASE_A_CPLX))
+    def test_equal_moduli_solve_takes_under_three_evaluations(
+            self, monkeypatch, params):
+        # |alpha| = |beta|: both closed-form ends are the root.  G is
+        # evaluated at the upper end, again only where rounding put it
+        # below the root (about a quarter of the points), and once more
+        # for the one Newton step that settles every point
+        per_point = _count_g_evaluations(monkeypatch)
+        x = fundamental_annulus_sample(3, params, 200) * np.exp(
+            np.linspace(-3, 3, 200))[:, None]
+        PotentialField(flow_spec_for(params)).solve(x)
+        assert len(per_point) == 3
+        assert per_point[0] == per_point[2] == 1.0
+        assert 0.0 < per_point[1] < 0.5
+
+    def test_doubling_bracket_evaluates_only_unbracketed_points(
+            self, monkeypatch):
+        # most of these case c samples hold the root in [-1, 1]; only the
+        # ones above it (about 15%) take a further round of G at the upper
+        # end, where every point took it before
+        per_point = _count_g_evaluations(monkeypatch)
+        x = fundamental_annulus_sample(7, CASE_C, 400) * np.exp(
+            np.linspace(-0.3, 0.3, 400))[:, None]
+        g = potentials._RadialEquation(flow_spec_for(CASE_C), x)
+        potentials._doubling_bracket(g)
+        assert per_point[:2] == [1.0, 1.0]
+        assert len(per_point) == 3 and 0.0 < per_point[2] < 0.5
+
+    @pytest.mark.parametrize("x, side, indices", (
+        # G = |z1 - r z2|^2 + |z2|^2 - 1 grows without bound below
+        (np.array([[0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]), "below",
+         "[1]"),
+        # G = |x|^2 - 1 < 0 for every r
+        (np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0]]), "above",
+         "[0, 1]"),
+    ))
+    def test_failed_doubling_bracket_names_the_samples(self, x, side, indices):
+        # |beta| = 1 is outside every contraction: G no longer falls to -1
+        # below or grows above, so doubling never brackets the root
+        spec = FlowSpec("shear", complex(0.0), complex(0.0), 1, 1.0 + 0j)
+        with pytest.raises(AmbiguousRadialTime,
+                           match=rf"from {side} at sample indices "
+                                 + re.escape(indices)):
+            PotentialField(spec).solve(x)
 
     @pytest.mark.parametrize("params", (CASE_B, CASE_C, SHEAR_M2, CASE_A_CPLX,
                                         SMALL_MULTIPLIER))
