@@ -30,6 +30,7 @@ alone are computed once per trajectory, since the trajectory keeps it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,21 @@ def hamiltonian_field(spec: FlowSpec, z: np.ndarray) -> np.ndarray:
 
     Phi has constant coefficients with Phi^2 = -Id as a matrix, so
     X = Phi grad(f); the defining relation is then reproduced exactly (to
-    solver precision in f).  grad f comes from ``grad_hess_dot`` with no
-    directions, so no Hessian is formed.
+    solver precision in f).
     """
     pf = PotentialField(spec)
     z = np.asarray(z, dtype=float)
-    points = z.reshape(-1, 4)
-    grad, _ = pf.grad_hess_dot(pf.level(pf.solve(points)), points.T,
-                               np.empty((4, 0, len(points))))
-    return (HOLO_RE @ grad).T.reshape(z.shape)
+    _, grad = _value_grad(pf, z, pf.solve(z))
+    return grad @ HOLO_RE.T
+
+
+def _value_grad(pf: PotentialField, x: np.ndarray, r: np.ndarray):
+    """f (...) and grad f (..., 4) at the points x (..., 4) of radial time r
+    (...): ``grad_hess_dot`` with no directions, so no Hessian is formed."""
+    points = x.reshape(-1, 4)
+    level = pf.level(np.reshape(r, -1))
+    grad, _ = pf.grad_hess_dot(level, points.T, np.empty((4, 0, len(points))))
+    return level.f.reshape(x.shape[:-1]), grad.T.reshape(x.shape)
 
 
 #: Phi = HOLO_RE as a signed row permutation: row i of Phi M is sign * row j
@@ -196,9 +203,12 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
     One step size serves the batch; its error is Hairer's combined 5th/3rd
     order estimate, err = |h| E5^2 / sqrt(E5^2 + 0.01 E3^2), where E5 and
     E3 are the max-norms over all components of the estimators scaled by
-    ode_tol * (1 + max(|y|, |y_new|)).  A step clipped to end on a grid time
-    does not shrink the controller's h, and the last stage of an accepted
-    step is the first of the next (FSAL), across grid times too.
+    ode_tol * (1 + max(|y|, |y_new|)), and computed as
+    |h| E5 / hypot(1, 0.1 E3 / E5), which neither overflows nor divides 0
+    by 0 however large or small ode_tol makes E5 and E3.  A step clipped to
+    end on a grid time does not shrink the controller's h, and the last
+    stage of an accepted step is the first of the next (FSAL), across grid
+    times too.
     """
     batch = y.shape[:-1]
     level = pf.level(np.reshape(r0, -1))
@@ -228,8 +238,8 @@ def _integrate(pf: PotentialField, r0: np.ndarray, y: np.ndarray,
             scale = ode_tol + ode_tol * np.maximum(np.abs(y), np.abs(y_new))
             e5, e3 = (float(np.max(np.abs(combine(e)) / scale))
                       for e in (_DOP_E5, _DOP_E3))
-            err = (abs(step) * e5**2 / np.sqrt(e5**2 + 0.01 * e3**2)
-                   if e5 or e3 else 0.0)
+            err = (abs(step) * e5 / math.hypot(1.0, 0.1 * e3 / e5)
+                   if e5 else 0.0)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             proposal = abs(step) * factor
             if err <= 1.0:
@@ -291,7 +301,7 @@ def pullback_psi(state: DeformationState) -> np.ndarray:
 
 def quotient_triple(spec: FlowSpec, state: DeformationState) -> QuotientTriple:
     """Deck-invariant quotient forms at the base points of the state."""
-    f, grad, _ = PotentialField(spec).value_grad_hess(state.x, state.r)
+    f, grad = _value_grad(PotentialField(spec), state.x, state.r)
     inv_f = 1.0 / f[..., None, None]
     return QuotientTriple(
         phi=HOLO_RE * inv_f,

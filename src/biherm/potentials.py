@@ -13,12 +13,14 @@ radial time r(z) is the unique root of
     G(r, z) = |phi_{-r}(z)|^2 - 1 = 0,
 
 found by safeguarded Newton on G's r-independent moduli, formed once per
-solve.  For a diagonal flow G is increasing and convex in r: the root has
-a closed-form bracket from |x|^2 and Newton from its upper end decreases
-monotonically to it.  For a shear, Newton is kept inside the one cell of a
-64-point scan of a doubled bracket in which G changes sign, and a second
-sign change is refused.  G depends on the flow only through moduli, so r
-is independent of the chosen arguments of alpha^t, beta^t.
+solve.  For a diagonal flow G + 1 is a sum of two exponentials linear in
+r, so log(G + 1) is increasing and convex: Newton on it from a closed-form
+upper end of the root, evaluated in log space, decreases monotonically to
+the root and needs no lower end.  For a shear, Newton on G is kept inside
+the one cell of a 64-point scan of a doubled bracket in which G changes
+sign, and a second sign change is refused.  G depends on the flow only
+through moduli, so r is independent of the chosen arguments of alpha^t,
+beta^t.
 
 The derivatives of f at a known r come from one batch-last kernel,
 ``PotentialField.grad_hess_dot``: the implicit function theorem makes
@@ -147,38 +149,43 @@ def flow_apply(spec: FlowSpec, t, x: np.ndarray) -> np.ndarray:
 
 class _RadialEquation:
     """G(r) = |phi_{-r}(x)|^2 - 1 at N fixed points x, from the moduli of x
-    that do not depend on r, formed once per solve: |z1|^2 and |z2|^2 for a
-    diagonal flow; P0, P1, P2 with |z1 - r lhat z2^m|^2 = P0 - 2 r P1 +
-    r^2 P2, and |z2|^2, for a shear.  G sees the flow only through moduli,
-    so r does not depend on the chosen arguments of alpha^t, beta^t.  The
-    radial times r have shape (N,) or (k, N)."""
+    that do not depend on r, formed once per solve: |z1|^2 and |z2|^2 (and
+    their logarithms) for a diagonal flow; P0, P1, P2 with
+    |z1 - r lhat z2^m|^2 = P0 - 2 r P1 + r^2 P2, and |z2|^2, for a shear.
+    G sees the flow only through moduli, so r does not depend on the chosen
+    arguments of alpha^t, beta^t.  The radial times r have shape (N,) or
+    (k, N)."""
 
     def __init__(self, spec: FlowSpec, x: np.ndarray):
         z = to_complex(x)
         self.spec = spec
         self.p0 = np.abs(z[:, 0]) ** 2
         self.q = np.abs(z[:, 1]) ** 2
-        if spec.kind == "shear":
+        if spec.kind == "diagonal":
+            with np.errstate(divide="ignore"):  # a zero coordinate: -inf
+                self.log_p0, self.log_q = np.log(self.p0), np.log(self.q)
+        else:
             s = spec.lam_hat * z[:, 1] ** spec.m
             self.p1 = (np.conj(z[:, 0]) * s).real
             self.p2 = np.abs(s) ** 2
 
-    def __call__(self, r: np.ndarray, at=slice(None)):
-        """G and dG/dr at r, at the points ``at`` (an index of the N
-        points)."""
+    def __call__(self, r: np.ndarray):
+        """The function Newton solves and its r-derivative, at r: for a
+        diagonal flow log(G + 1) = log(|z1|^2 e^{-2 r l_1} +
+        |z2|^2 e^{-2 r l_2}) and -2 (l_1 w_1 + l_2 w_2), with w the two
+        terms' shares of the sum, all in log space so that nothing
+        overflows; for a shear G and dG/dr."""
         spec = self.spec
-        p0, q = self.p0[at], self.q[at]
+        if spec.kind == "diagonal":
+            la, lb = spec.log_alpha.real, spec.log_beta.real
+            u1 = self.log_p0 - 2.0 * la * r
+            u2 = self.log_q - 2.0 * lb * r
+            value = np.logaddexp(u1, u2)
+            slope = -2.0 * (la * np.exp(u1 - value) + lb * np.exp(u2 - value))
+            return value, slope
+        lb, m = spec.log_beta.real, spec.m
+        p0, p1, p2, q = self.p0, self.p1, self.p2, self.q
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.kind == "diagonal":
-                la, lb = spec.log_alpha.real, spec.log_beta.real
-                ea = np.exp(-2.0 * r * la)
-                eb = np.exp(-2.0 * r * lb)
-                value = p0 * ea + q * eb - 1.0
-                slope = -2.0 * la * p0 * ea - 2.0 * lb * q * eb
-                return value, slope
-            lb = spec.log_beta.real
-            m = spec.m
-            p1, p2 = self.p1[at], self.p2[at]
             em = np.exp(-2.0 * m * r * lb)
             e1 = np.exp(-2.0 * r * lb)
             poly = p0 - 2.0 * r * p1 + r**2 * p2
@@ -227,53 +234,19 @@ def _refuse_nan(value: np.ndarray, where: str):
 
 
 def _closed_form_bracket(g: _RadialEquation):
-    """Ends lo <= hi of a diagonal flow's radial time, in closed form.
+    """Upper end hi of a diagonal flow's radial times, in closed form.
 
     G + 1 = |z1|^2 e^{-2 r l_1} + |z2|^2 e^{-2 r l_2} with l_i = log|alpha|,
-    log|beta| < 0 is increasing and convex in r, and lies between
-    |x|^2 e^{-2 r min l} and |x|^2 e^{-2 r max l}, so the root lies between
-    log|x|^2 / (2 min l) and log|x|^2 / (2 max l).  By convexity of exp
-    (Jensen), G + 1 >= |x|^2 e^{-2 r lbar} with lbar the mean of the l_i
-    weighted by |z_i|^2, so hi = log|x|^2 / (2 lbar), which lies in that
-    bracket, is an upper end too.
+    log|beta| < 0.  By convexity of exp (Jensen), G + 1 >= |x|^2 e^{-2 r lbar}
+    with lbar the mean of the l_i weighted by |z_i|^2, so G >= 0 at
+    hi = log|x|^2 / (2 lbar).  Where hi is the root (|alpha| = |beta| or a
+    zero coordinate), rounding can put it an ulp below; ``_rtsafe`` then
+    keeps it, since its Newton step would leave the bracket [hi, hi].
     """
     spec = g.spec
     la, lb = spec.log_alpha.real, spec.log_beta.real
     norm2 = g.p0 + g.q
-    log_norm2 = np.log(norm2)
-    lo = np.minimum(log_norm2 / (2.0 * min(la, lb)),
-                    log_norm2 / (2.0 * max(la, lb)))
-    hi = log_norm2 / (2.0 * (g.p0 * la + g.q * lb) / norm2)
-    return lo, hi
-
-
-def _diagonal_bracket(g: _RadialEquation):
-    """The closed-form bracket with its upper end checked: lo, hi with
-    G(hi) >= 0, and G, dG/dr at hi.  G is increasing and convex in r, so
-    Newton from hi decreases monotonically to the root and lo is only the
-    safeguard of ``_rtsafe``: it is moved out by width = eps (1 + |lo| +
-    |hi|) and not evaluated, which also parts ends that coincide
-    (|alpha| = |beta|, where both are the root).  Rounding can break hi
-    (when it is the root); such an hi is moved out by width, four times
-    more each round, with G evaluated at those points alone, until
-    G(hi) >= 0."""
-    lo, hi = _closed_form_bracket(g)
-    width = np.finfo(float).eps * (1.0 + np.abs(lo) + np.abs(hi))
-    lo = lo - width
-    value = np.empty(hi.shape)
-    slope = np.empty(hi.shape)
-    need = np.ones(hi.shape, dtype=bool)
-    for _ in range(32):
-        value[need], slope[need] = g(hi[need], need)
-        _refuse_nan(value, "at the upper end of the closed-form bracket")
-        need = value < 0.0
-        if not np.any(need):
-            return lo, hi, value, slope
-        hi[need] += width[need]
-        width = 4.0 * width
-    raise AmbiguousRadialTime(
-        f"failed to bracket the radial time at sample indices "
-        f"{_indices(need)}")
+    return np.log(norm2) / (2.0 * (g.p0 * la + g.q * lb) / norm2)
 
 
 def _doubling_bracket(g: _RadialEquation):
@@ -327,13 +300,14 @@ def _sign_change_cell(g: _RadialEquation, lo, hi):
     return lo + grid[cell] * (hi - lo), lo + grid[cell + 1] * (hi - lo)
 
 
-def _rtsafe(g: _RadialEquation, lo, hi, value, slope):
-    """Newton from hi, where G = value >= 0 and dG/dr = slope, with a
-    bisection step wherever Newton would leave [lo, hi] (rtsafe; Press et
+def _rtsafe(g: _RadialEquation, lo, hi):
+    """Newton on the function g evaluates, from hi, where it is >= 0, with
+    a bisection step wherever Newton would leave [lo, hi] (rtsafe; Press et
     al., Numerical Recipes, sec. 9.4).  Each point stops once its step,
     Newton or bisection, is at most _STEP_TOL * (1 + |r|), so its r does
-    not depend on the batch.  Returns r and G, dG/dr there."""
+    not depend on the batch.  Returns r and g's value and slope there."""
     r = hi
+    value, slope = g(r)
     moving = np.ones(r.shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         lo = np.where(value < 0.0, r, lo)
@@ -494,19 +468,20 @@ class PotentialField:
         """Radial time r at x (..., 4), shaped (...).
 
         G's moduli are formed once (``_RadialEquation``).  A diagonal flow
-        has G increasing and convex in r: its bracket is closed-form and
-        Newton from the upper end decreases monotonically to the root
-        (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations
-        in Several Variables, sec. 13.3).  A shear doubles a bracket and
-        scans it at _SCAN_POINTS points for its one sign-change cell,
-        refusing several with AmbiguousRadialTime; Newton starts at the
-        cell's upper end.  Both then run ``_rtsafe``.  The root must meet
-        |G| <= ROOT_TOL and dG/dr > 0.
+        solves log(G + 1) = 0 instead: it is increasing and convex in r, so
+        Newton from the closed-form upper end of the root decreases
+        monotonically to it (Ortega and Rheinboldt, Iterative Solution of
+        Nonlinear Equations in Several Variables, sec. 13.3), with no lower
+        end.  A shear doubles a bracket and scans it at _SCAN_POINTS points
+        for its one sign-change cell, refusing several with
+        AmbiguousRadialTime; Newton on G starts at the cell's upper end.
+        Both run ``_rtsafe``.  The root must meet |log(G + 1)| or
+        |G| <= ROOT_TOL, and dG/dr > 0.
 
         A point whose |x|^2 is not a positive finite double (the origin, a
         NaN or infinite coordinate) has no radial time and raises
-        GroupDataError before any bracketing; one whose G is NaN on the
-        bracket or the scan raises BeyondPrecision.  Sample indices are
+        GroupDataError before any bracketing; one whose G is NaN on a
+        shear's bracket or scan raises BeyondPrecision.  Sample indices are
         positions in the flattened batch."""
         x = np.asarray(x, dtype=float)
         points = x.reshape(-1, 4)
@@ -519,16 +494,17 @@ class PotentialField:
                 f"{_indices(outside)}: |x|^2 must be a positive finite number")
         g = _RadialEquation(self.spec, points)
         if self.spec.kind == "diagonal":
-            lo, hi, value, slope = _diagonal_bracket(g)
+            lo, hi = np.full(len(points), -np.inf), _closed_form_bracket(g)
+            solved = "log(G + 1)"
         else:
             lo, hi = _sign_change_cell(g, *_doubling_bracket(g))
-            value, slope = g(hi)
-        r, value, slope = _rtsafe(g, lo, hi, value, slope)
+            solved = "G"
+        r, value, slope = _rtsafe(g, lo, hi)
         unpolished = ~(np.abs(value) <= ROOT_TOL)
         if np.any(unpolished):
             raise AmbiguousRadialTime(
                 f"Newton polish failed at sample indices {_indices(unpolished)}, "
-                f"max |G| = {np.max(np.abs(value)):.3e}"
+                f"max |{solved}| = {np.max(np.abs(value)):.3e}"
             )
         if np.any(slope <= 0.0):
             raise AmbiguousRadialTime(

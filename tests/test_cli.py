@@ -196,6 +196,36 @@ class TestCertifyCommand:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert "lambda" not in err
 
+    @pytest.mark.parametrize("argv", [["construct", "--t", "0.2"], ["sweep"]])
+    def test_very_unequal_moduli_are_solved(self, tmp_path, capsys, argv):
+        # |beta| / |alpha| = 900: Newton on G from the closed-form upper end
+        # of the radial time ran out of steps on four of these samples
+        path = write(tmp_path, "d.json", {"alpha": 0.001, "beta": 0.9})
+        code = main([*argv, "--config", path, "--samples", "16", "--seed",
+                     "7"])
+        assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ode-tol", "1e-300"),  # the error norm squared overflowed
+        ("--ode-tol", "1e300"),  # ... and underflowed to 0 / 0
+        ("--t", "1e-320"),
+        ("--fd-step", "1e300"),
+        ("--samples", "1"),
+    ])
+    def test_extreme_numeric_flags_end_in_one_line(self, tmp_path, capsys,
+                                                   flag, value):
+        # the last of a repeated flag wins
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["certify", "--config",
+                         write(tmp_path, "b.json", CASE_B_DOC),
+                         "--samples", "2", "--t", "0.1", flag, value])
+        err = capsys.readouterr().err
+        assert code in range(6)
+        assert err.count("\n") <= 1
+        assert "Traceback" not in err and "Warning" not in err
+        assert not [str(w.message) for w in caught]
+
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
                      "--samples", "6", "--tol-tier", "j_minus_square=1e-18"])
