@@ -651,13 +651,16 @@ def run_certificate(cfg: CertificateConfig) -> CertificateReport:
     triple = quotient_triple(spec, state)
     sample = assemble_from_triple(triple, state)
 
-    idx = np.nonzero(sample.margin > 0.0)[0]
+    # a sample whose 1 - p^2 rounds to 0 (t so small that J_- is J_+ to
+    # double precision) has no canonical-factor equation: excluded like
+    # one whose margin is not positive
+    idx = np.nonzero((sample.margin > 0.0) & (1.0 - sample.p**2 > 0.0))[0]
     excluded = cfg.n - idx.size
     if idx.size == 0:
         raise NotPositive(
-            "invariant part of the deformed form is not positive at any of "
-            f"the {cfg.n} samples at t = {state.t!r}; let the positivity sweep "
-            "choose t"
+            "invariant part of the deformed form is not positive, or "
+            f"1 - p^2 rounds to 0, at each of the {cfg.n} samples at "
+            f"t = {state.t!r}; let the positivity sweep choose t"
         )
     kept = sample.subset(idx)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .certificate import (
     DEFAULT_TOLERANCES,
+    STENCIL_SCALE,
     CertificateConfig,
     assemble_from_triple,
     deform_samples,
@@ -109,12 +110,17 @@ def _finite_positive(flag: str, value) -> float:
 
 def _stencil_step(flag: str, value) -> float:
     """A finite positive fd_step whose half step moves a coordinate of size
-    max(1, |x|).  stencil_step scales it by that size, so the test does not
-    depend on the samples."""
+    max(1, |x|), and with STENCIL_SCALE * fd_step < 1, so that no arm of the
+    stencil cloud (STENCIL_SCALE * fd_step * max(1, |x|)) is as long as the
+    point's own scale.  stencil_step scales fd_step by that size, so the
+    test does not depend on the samples."""
     step = _finite_positive(flag, value)
     if 1.0 + step / 2.0 == 1.0:
         raise GroupDataError(f"{flag} {value!r} is too small to move a "
                              "stencil point off its base point")
+    if not STENCIL_SCALE * step < 1.0:
+        raise GroupDataError(f"{flag} {value!r} is too large: the stencil "
+                             f"cloud needs {STENCIL_SCALE:g} * {flag} < 1")
     return step
 
 

@@ -26,14 +26,15 @@ class SingularMetric(BihermError):
 
 
 class AmbiguousRadialTime(BihermError):
-    """The radial-time equation has no certified unique root (non-monotone
-    regime of the shear flow, or failed polish)."""
+    """The Newton polish of the radial time failed to reach
+    |log(G + 1)| <= ROOT_TOL at a point."""
 
 
 class NotPlurisubharmonic(BihermError):
     """The candidate potential fails positivity of its complex Hessian at a
-    sample point.  For shear parameters this signals that |lambda| is too
-    large; reduce it and rerun."""
+    sample point, or a shear flow is not transverse to S^3
+    (|lambda / beta^m| >= |log|beta|| F_m), so that its radial time is not
+    unique.  Either way |lambda| is too large; reduce it and rerun."""
 
 
 class NotPositive(BihermError):

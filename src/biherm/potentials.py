@@ -10,17 +10,19 @@ group phi_t:
 both satisfying phi_s o phi_t = phi_{s+t} exactly and phi_1 = gamma0.  The
 radial time r(z) is the unique root of
 
-    G(r, z) = |phi_{-r}(z)|^2 - 1 = 0,
+    L(r) = log(G(r, z) + 1) = log|phi_{-r}(z)|^2 = 0,
 
-found by safeguarded Newton on G's r-independent moduli, formed once per
-solve.  For a diagonal flow G + 1 is a sum of two exponentials linear in
-r, so log(G + 1) is increasing and convex: Newton on it from a closed-form
-upper end of the root, evaluated in log space, decreases monotonically to
-the root and needs no lower end.  For a shear, Newton on G is kept inside
-the one cell of a 64-point scan of a doubled bracket in which G changes
-sign, and a second sign change is refused.  G depends on the flow only
-through moduli, so r is independent of the chosen arguments of alpha^t,
-beta^t.
+found for both kinds of flow by one safeguarded Newton (``_rtsafe``) on
+L, evaluated in log space from G's r-independent moduli, formed once per
+solve, so that nothing overflows.  For a diagonal flow G + 1 is a sum of
+two exponentials linear in r, so L is increasing and convex: Newton from
+a closed-form upper end of the root decreases monotonically to it and needs
+no lower end.  For a shear, |z1 - r lhat z2^m|^2 is a sum of two squares, so
+L is never NaN; Newton is kept inside a doubled bracket on L's sign.
+The shear's root is unique exactly when the flow is transverse to S^3,
+|lhat| < |log|beta|| F_m, a closed-form bound decided once per surface
+(``_transversality_factor``).  G depends on the flow only through moduli,
+so r is independent of the chosen arguments of alpha^t, beta^t.
 
 The derivatives of f at a known r come from one batch-last kernel,
 ``PotentialField.grad_hess_dot``: the implicit function theorem makes
@@ -31,7 +33,9 @@ the flow's right-hand side is the kernel at its variational Jacobian D.
 The potential f = a^r (a = |alpha||beta| for diagonal flows, |beta|^{m+1}
 for shears) satisfies f(gamma0 z) = a f(z) and is a Kaehler potential; the
 positivity of dd^c f is a theorem for diagonal flows but only a runtime
-check for shears, where it fails once |lambda| grows too large.
+check for shears, where it fails once |lambda| grows too large; it is
+already lost inside the transversality bound, so a shear past that bound
+is refused as NotPlurisubharmonic.
 """
 
 from __future__ import annotations
@@ -64,11 +68,9 @@ from .hopf_groups import (
 
 ROOT_TOL = 1e-13
 #: A point's solve stops once its Newton or bisection step is at most
-#: _STEP_TOL * (1 + |r|), and after _NEWTON_ITERS steps at the latest; that
-#: many bisections of a scan cell would reach the same resolution.
+#: _STEP_TOL * (1 + |r|), and after _NEWTON_ITERS steps at the latest.
 _NEWTON_ITERS = 64
 _STEP_TOL = 1e-15
-_SCAN_POINTS = 64
 #: Smallest multiplier a (f(gamma0 z) = a f(z)) the numerics represent.  The
 #: quotient forms scale like 1/f, with f = a^r down to a^2 on the deck
 #: images of the samples, and their 4x4 determinants like a^-8, which is
@@ -144,93 +146,90 @@ def flow_apply(spec: FlowSpec, t, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the radial-time equation G(r, z) = |phi_{-r}(z)|^2 - 1
+# the radial-time equation log(G(r, z) + 1) = log|phi_{-r}(z)|^2 = 0
 # ---------------------------------------------------------------------------
 
+def _transversality_factor(m: int) -> float:
+    """F_m, the least of (m cos^2 t + sin^2 t) / (cos t sin^m t) on
+    0 < t < pi/2.
+
+    The derivative of |phi_t(z)|^2 at t = 0 on S^3 is 2 (m log|beta| |z1|^2
+    + log|beta| |z2|^2 + Re(conj(z1) lhat z2^m)); with |z1| = cos t,
+    |z2| = sin t and the phases aligned, the shear flow points into the ball
+    at every point of S^3 exactly when |lhat| < |log|beta|| F_m.  Setting
+    the derivative of the quotient to zero puts the least at tan^2 t = u with
+    u = m - 1 + sqrt((m - 1)^2 + m^2), where it is
+    (m + u) (1 + u)^((m - 1)/2) / u^(m/2): F_1 = 2, F_2 = 3.3302,
+    F_3 = 4.2831, F_4 = 5.0625.  Evaluated in logarithms, so that no power
+    overflows at large m.
+    """
+    u = m - 1 + math.hypot(m - 1, m)
+    return math.exp(math.log(m + u) + 0.5 * (m - 1) * math.log1p(u)
+                    - 0.5 * m * math.log(u))
+
+
 class _RadialEquation:
-    """G(r) = |phi_{-r}(x)|^2 - 1 at N fixed points x, from the moduli of x
-    that do not depend on r, formed once per solve: |z1|^2 and |z2|^2 (and
-    their logarithms) for a diagonal flow; P0, P1, P2 with
-    |z1 - r lhat z2^m|^2 = P0 - 2 r P1 + r^2 P2, and |z2|^2, for a shear.
-    G sees the flow only through moduli, so r does not depend on the chosen
-    arguments of alpha^t, beta^t.  The radial times r have shape (N,) or
-    (k, N)."""
+    """L(r) = log(G(r) + 1) = log|phi_{-r}(x)|^2 at N fixed points x, and
+    its r-derivative, in log space from the moduli of x that do not depend
+    on r, formed once per solve.  A diagonal flow keeps |z1|^2, |z2|^2 and
+    their logarithms.  A shear keeps, with s = lhat z2^m, |s| and
+    c + i d = conj(z1) s / |s| (conj(z1) where s = 0), so that
+
+        |z1 - r s|^2 = (r |s| - c)^2 + d^2
+
+    is a sum of two squares, which never rounds below 0, and log|z2|^2.  G
+    sees the flow only through moduli, so r does not depend on the chosen
+    arguments of alpha^t, beta^t.  The radial times r have shape (N,), or
+    that of the points ``at`` (an index of the N points) selects."""
 
     def __init__(self, spec: FlowSpec, x: np.ndarray):
         z = to_complex(x)
         self.spec = spec
         self.p0 = np.abs(z[:, 0]) ** 2
         self.q = np.abs(z[:, 1]) ** 2
-        if spec.kind == "diagonal":
-            with np.errstate(divide="ignore"):  # a zero coordinate: -inf
-                self.log_p0, self.log_q = np.log(self.p0), np.log(self.q)
-        else:
+        with np.errstate(divide="ignore"):  # a zero coordinate: -inf
+            self.log_p0, self.log_q = np.log(self.p0), np.log(self.q)
+        if spec.kind == "shear":
             s = spec.lam_hat * z[:, 1] ** spec.m
-            self.p1 = (np.conj(z[:, 0]) * s).real
-            self.p2 = np.abs(s) ** 2
+            self.abs_s = np.abs(s)
+            unit = np.divide(s, self.abs_s, out=np.ones_like(s),
+                             where=self.abs_s > 0.0)
+            proj = np.conj(z[:, 0]) * unit
+            self.c, self.d = proj.real, proj.imag
 
-    def __call__(self, r: np.ndarray):
-        """The function Newton solves and its r-derivative, at r: for a
-        diagonal flow log(G + 1) = log(|z1|^2 e^{-2 r l_1} +
-        |z2|^2 e^{-2 r l_2}) and -2 (l_1 w_1 + l_2 w_2), with w the two
-        terms' shares of the sum, all in log space so that nothing
-        overflows; for a shear G and dG/dr."""
+    def __call__(self, r: np.ndarray, at=slice(None)):
+        """L and dL/dr at r.  With w_1, w_2 the shares of the two terms
+        of G + 1 = |w|^2 e^{-2 m r l_1} + |z2|^2 e^{-2 r l_2} in their sum
+        (m = 1, w = z1 for a diagonal flow; l_1 = l_2 = log|beta| for a
+        shear), dL/dr = -2 (m l_1 w_1 + l_2 w_2), plus
+        w_1 d log|w|^2 / dr for a shear, formed from the ratios |s| / |w|
+        and (r |s| - c) / |w| so that nothing overflows where |w| is tiny."""
         spec = self.spec
         if spec.kind == "diagonal":
             la, lb = spec.log_alpha.real, spec.log_beta.real
-            u1 = self.log_p0 - 2.0 * la * r
-            u2 = self.log_q - 2.0 * lb * r
+            u1 = self.log_p0[at] - 2.0 * la * r
+            u2 = self.log_q[at] - 2.0 * lb * r
             value = np.logaddexp(u1, u2)
             slope = -2.0 * (la * np.exp(u1 - value) + lb * np.exp(u2 - value))
             return value, slope
         lb, m = spec.log_beta.real, spec.m
-        p0, p1, p2, q = self.p0, self.p1, self.p2, self.q
-        with np.errstate(over="ignore", invalid="ignore"):
-            em = np.exp(-2.0 * m * r * lb)
-            e1 = np.exp(-2.0 * r * lb)
-            poly = p0 - 2.0 * r * p1 + r**2 * p2
-            value = poly * em + q * e1 - 1.0
-            slope = ((-2.0 * p1 + 2.0 * r * p2) * em
-                     - 2.0 * m * lb * poly * em - 2.0 * lb * q * e1)
-            return value, slope
-
-    def shear_value(self, r: np.ndarray, at=slice(None)) -> np.ndarray:
-        """G alone at r for a shear, at the points ``at`` (an index of the
-        N points), computed in the memory of r (which it overwrites) and one
-        more array: the polynomial in Horner form and e^{-2 m r log|beta|}
-        as the m-th power of e^{-2 r log|beta|}."""
-        value = r * self.p2[at]
-        value -= 2.0 * self.p1[at]
-        value *= r
-        value += self.p0[at]
-        r *= -2.0 * self.spec.log_beta.real
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(r, out=r)
-            for _ in range(self.spec.m):
-                value *= r
-            r *= self.q[at]
-            value += r
-        value -= 1.0
-        return value
+        abs_s = self.abs_s[at]
+        arm = r * abs_s - self.c[at]
+        abs_w = np.hypot(arm, self.d[at])
+        with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: -inf
+            u1 = 2.0 * np.log(abs_w) - 2.0 * m * lb * r
+            u2 = self.log_q[at] - 2.0 * lb * r
+            value = np.logaddexp(u1, u2)
+            w1 = np.exp(u1 - value)
+            # d log|w|^2 / dr = 2 |s| (r |s| - c) / |w|^2, 0 where w = 0
+            pull = np.where(abs_w > 0.0, (abs_s / abs_w) * (arm / abs_w), 0.0)
+        slope = 2.0 * pull * w1 - 2.0 * lb * (m * w1 + np.exp(u2 - value))
+        return value, slope
 
 
 def _indices(mask: np.ndarray) -> list:
     """Sample indices at which mask holds, in a flat batch."""
     return np.flatnonzero(mask).tolist()
-
-
-def _refuse_nan(value: np.ndarray, where: str):
-    """BeyondPrecision naming the samples whose G is NaN somewhere on
-    value's leading axes: a zero modulus times an overflowed exponential,
-    a point whose radial time leaves double precision.  An overflow to
-    +inf alone keeps its sign and is solved."""
-    nan = np.isnan(value)
-    if nan.ndim > 1:
-        nan = np.any(nan, axis=tuple(range(nan.ndim - 1)))
-    if np.any(nan):
-        raise BeyondPrecision(
-            f"radial time beyond double precision at sample indices "
-            f"{_indices(nan)}: G is NaN {where}")
 
 
 def _closed_form_bracket(g: _RadialEquation):
@@ -250,54 +249,25 @@ def _closed_form_bracket(g: _RadialEquation):
 
 
 def _doubling_bracket(g: _RadialEquation):
-    """Expand [-1, 1] by doubling until G changes sign across the bracket
-    (shear flows); each round evaluates G only at the points whose end does
-    not yet have its sign."""
+    """Expand [-1, 1] by doubling until L changes sign across the bracket
+    (shear flows): L < 0 at lo and > 0 at hi.  Each round evaluates L
+    only at the points whose end does not yet have its sign.  G + 1 falls
+    to 0 below and grows without bound above every point other than the
+    origin, and 200 rounds reach 2^200, far beyond the radial time of any
+    finite positive |x|^2 (|log|beta|| >= 1.1e-16 in doubles), so the
+    bounded loop always brackets; a point it left unbracketed would fail
+    the polish check."""
     ends = []
-    for start, wrong, side in ((-1.0, np.greater_equal, "below"),
-                               (1.0, np.less_equal, "above")):
+    for start, wrong in ((-1.0, np.greater_equal), (1.0, np.less_equal)):
         end = np.full(g.p0.shape, start)
-        value = np.empty(g.p0.shape)
         need = np.ones(g.p0.shape, dtype=bool)
         for _ in range(200):
-            value[need] = g.shear_value(end[need], need)
-            need = wrong(value, 0.0)
+            need[need] = wrong(g(end[need], need)[0], 0.0)
             if not np.any(need):
                 break
             end[need] *= 2.0
-        else:
-            raise AmbiguousRadialTime(
-                f"failed to bracket the radial time from {side} at sample "
-                f"indices {_indices(need)}")
-        ends.append((end, value))
-    (lo, glo), (hi, ghi) = ends
-    _refuse_nan(np.stack([glo, ghi]), "at the ends of the bracket")
-    return lo, hi
-
-
-def _sign_change_cell(g: _RadialEquation, lo, hi):
-    """The cell of a _SCAN_POINTS grid on the bracket [lo, hi] in which G
-    changes sign, with G < 0 at its lower and G >= 0 at its upper end; G
-    is evaluated on the whole (_SCAN_POINTS, N) grid at once.
-
-    Rejects brackets in which G changes sign more than once (possible only
-    for shear flows with large |lambda|).
-    """
-    grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    points = np.multiply.outer(grid, hi - lo)
-    points += lo
-    values = g.shear_value(points)
-    _refuse_nan(values, "on the multiple-root scan")
-    negative = values < 0.0
-    changed = negative[1:] != negative[:-1]
-    changes = np.sum(changed, axis=0)
-    if np.any(changes > 1):
-        raise AmbiguousRadialTime(
-            f"radial-time equation has multiple roots at sample indices "
-            f"{_indices(changes > 1)}; the shear coefficient |lambda| is too large"
-        )
-    cell = np.argmax(changed, axis=0)
-    return lo + grid[cell] * (hi - lo), lo + grid[cell + 1] * (hi - lo)
+        ends.append(end)
+    return ends
 
 
 def _rtsafe(g: _RadialEquation, lo, hi):
@@ -305,7 +275,7 @@ def _rtsafe(g: _RadialEquation, lo, hi):
     a bisection step wherever Newton would leave [lo, hi] (rtsafe; Press et
     al., Numerical Recipes, sec. 9.4).  Each point stops once its step,
     Newton or bisection, is at most _STEP_TOL * (1 + |r|), so its r does
-    not depend on the batch.  Returns r and g's value and slope there."""
+    not depend on the batch.  Returns r and g's value there."""
     r = hi
     value, slope = g(r)
     moving = np.ones(r.shape, dtype=bool)
@@ -321,7 +291,7 @@ def _rtsafe(g: _RadialEquation, lo, hi):
         value, slope = g(r)
         if not np.any(moving):
             break
-    return r, value, slope
+    return r, value
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +423,8 @@ class PotentialEval:
 class PotentialField:
     """The radial time r and the potential f = a^r of one flow.
 
-    ``solve`` performs the guarded cold start (bracket, the multiple-root
-    scan of a shear, safeguarded Newton); ``level`` takes the factors that
+    ``solve`` performs the guarded cold start (the transversality bound of
+    a shear, a bracket, safeguarded Newton); ``level`` takes the factors that
     depend on a known r alone, ``grad_hess_dot`` grad f and Hess f . D on
     that level set, and ``value_grad_hess`` f and its derivatives, all with
     no root solve; ``f_value`` is f alone; ``potential`` evaluates and
@@ -467,22 +437,33 @@ class PotentialField:
     def solve(self, x: np.ndarray) -> np.ndarray:
         """Radial time r at x (..., 4), shaped (...).
 
-        G's moduli are formed once (``_RadialEquation``).  A diagonal flow
-        solves log(G + 1) = 0 instead: it is increasing and convex in r, so
-        Newton from the closed-form upper end of the root decreases
-        monotonically to it (Ortega and Rheinboldt, Iterative Solution of
-        Nonlinear Equations in Several Variables, sec. 13.3), with no lower
-        end.  A shear doubles a bracket and scans it at _SCAN_POINTS points
-        for its one sign-change cell, refusing several with
-        AmbiguousRadialTime; Newton on G starts at the cell's upper end.
-        Both run ``_rtsafe``.  The root must meet |log(G + 1)| or
-        |G| <= ROOT_TOL, and dG/dr > 0.
+        Both kinds of flow solve L(r) = log(G + 1) = 0 in log space, from
+        G's moduli formed once (``_RadialEquation``), by ``_rtsafe`` from an
+        upper end of the root.  A diagonal flow's L is increasing and
+        convex in r, so Newton from the closed-form upper end decreases
+        monotonically to the root (Ortega and Rheinboldt, Iterative Solution
+        of Nonlinear Equations in Several Variables, sec. 13.3), with no
+        lower end.  A shear doubles a bracket on L's sign and keeps Newton
+        inside it.  Its root is unique exactly when the flow is transverse
+        to S^3, |lhat| < |log|beta|| F_m (``_transversality_factor``); a
+        shear past that bound is refused, once per surface and before any
+        bracketing, as NotPlurisubharmonic: dd^c f loses its positivity
+        well inside the bound.  The root must meet |L| <= ROOT_TOL, or
+        the solve raises AmbiguousRadialTime.
 
         A point whose |x|^2 is not a positive finite double (the origin, a
         NaN or infinite coordinate) has no radial time and raises
-        GroupDataError before any bracketing; one whose G is NaN on a
-        shear's bracket or scan raises BeyondPrecision.  Sample indices are
-        positions in the flattened batch."""
+        GroupDataError.  Sample indices are positions in the flattened
+        batch."""
+        spec = self.spec
+        if spec.kind == "shear":
+            bound = -spec.log_beta.real * _transversality_factor(spec.m)
+            if not abs(spec.lam_hat) < bound:
+                raise NotPlurisubharmonic(
+                    f"|lambda / beta^m| = {abs(spec.lam_hat):.6g} is not below "
+                    f"|log|beta|| F_m = {bound:.6g}: the flow is not "
+                    "transverse to S^3, so the radial time is not unique; "
+                    "reduce |lambda| and rerun")
         x = np.asarray(x, dtype=float)
         points = x.reshape(-1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -492,24 +473,17 @@ class PotentialField:
             raise GroupDataError(
                 f"points without a radial time at sample indices "
                 f"{_indices(outside)}: |x|^2 must be a positive finite number")
-        g = _RadialEquation(self.spec, points)
-        if self.spec.kind == "diagonal":
+        g = _RadialEquation(spec, points)
+        if spec.kind == "diagonal":
             lo, hi = np.full(len(points), -np.inf), _closed_form_bracket(g)
-            solved = "log(G + 1)"
         else:
-            lo, hi = _sign_change_cell(g, *_doubling_bracket(g))
-            solved = "G"
-        r, value, slope = _rtsafe(g, lo, hi)
+            lo, hi = _doubling_bracket(g)
+        r, value = _rtsafe(g, lo, hi)
         unpolished = ~(np.abs(value) <= ROOT_TOL)
         if np.any(unpolished):
             raise AmbiguousRadialTime(
                 f"Newton polish failed at sample indices {_indices(unpolished)}, "
-                f"max |{solved}| = {np.max(np.abs(value)):.3e}"
-            )
-        if np.any(slope <= 0.0):
-            raise AmbiguousRadialTime(
-                f"dG/dr <= 0 at the roots of sample indices "
-                f"{_indices(slope <= 0.0)}; monotonicity certificate failed"
+                f"max |log(G + 1)| = {np.max(np.abs(value)):.3e}"
             )
         return r.reshape(x.shape[:-1])
 

@@ -209,6 +209,7 @@ class TestCertifyCommand:
         ("--ode-tol", "1e-300"),  # the error norm squared overflowed
         ("--ode-tol", "1e300"),  # ... and underflowed to 0 / 0
         ("--t", "1e-320"),
+        ("--t", "1e-10"),  # 1 - p^2 rounded to 0 in the canonical factor
         ("--fd-step", "1e300"),
         ("--samples", "1"),
     ])
@@ -225,6 +226,34 @@ class TestCertifyCommand:
         assert err.count("\n") <= 1
         assert "Traceback" not in err and "Warning" not in err
         assert not [str(w.message) for w in caught]
+
+    def test_oversized_fd_step_names_the_flag(self, tmp_path, capsys):
+        code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
+                     "--samples", "2", "--t", "0.1", "--fd-step", "1e300"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert "--fd-step" in err and len(err) < 120
+
+    def test_too_small_t_is_analytic_refusal(self, tmp_path, capsys):
+        # at t = 1e-10, 1 - p^2 rounds to 0 at every sample: each is
+        # excluded, as at t = 0
+        code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
+                     "--samples", "2", "--t", "1e-10"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("analytic refusal:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", ("4", "16"))
+    def test_non_transverse_shear_is_refused_at_any_n(self, tmp_path, capsys,
+                                                      samples):
+        # |lambda / beta| = 0.222 against 2 |log 0.9| = 0.211: the radial
+        # time is not unique, so the surface is refused whatever the samples
+        doc = {"alpha": 0.9, "beta": 0.9, "lambda": 0.2, "m": 1}
+        code = main(["certify", "--config", write(tmp_path, "s.json", doc),
+                     "--samples", samples])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("analytic refusal:") and "not transverse" in err
 
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),
@@ -260,6 +289,7 @@ class TestCertifyCommand:
         ["--t-grid", "0:1:1e-300"],
         ["--t-grid", "0:1e308:1e-10"],
         ["--fd-step", "1e-200"],  # no stencil point leaves its base point
+        ["--fd-step", "0.34"],  # an arm longer than the point's scale
     ])
     def test_bad_numbers_are_parse_errors(self, tmp_path, capsys, argv):
         code = main(["certify", "--config", write(tmp_path, "b.json", CASE_B_DOC),

@@ -161,9 +161,9 @@ class TestIntegrateFlow:
         calls = []
         value_slope = potentials._RadialEquation.__call__
 
-        def counting(self, r):
+        def counting(self, r, *args):
             calls.append(np.size(r))
-            return value_slope(self, r)
+            return value_slope(self, r, *args)
 
         monkeypatch.setattr(potentials._RadialEquation, "__call__", counting)
         spec = flow_spec_for(CASE_C)

@@ -1,7 +1,6 @@
 """Radial time, potentials, their derivatives, and the invariance
 diagnostics."""
 
-import re
 import time
 
 import numpy as np
@@ -14,7 +13,6 @@ import biherm.potentials as potentials
 from biherm.deformation import integrate_flow
 from biherm.errors import (
     AmbiguousRadialTime,
-    BeyondPrecision,
     GroupDataError,
     NotPlurisubharmonic,
 )
@@ -55,21 +53,43 @@ UNEQUAL_MODULI = tuple(ContractionParams(alpha, beta)
 
 
 def _count_g_evaluations(monkeypatch) -> list:
-    """Radial times at which the solve evaluates G, per point, one entry
-    per evaluation (G with dG/dr, or the shear's G alone)."""
+    """Radial times at which the solve evaluates log(G + 1) and its slope,
+    per point, one entry per evaluation."""
     per_point = []
-    equation = potentials._RadialEquation
+    value_slope = potentials._RadialEquation.__call__
 
-    def counting(method):
-        def wrapped(self, r, *args):
-            per_point.append(np.size(r) / self.p0.size)
-            return method(self, r, *args)
-        return wrapped
+    def counting(self, r, *args):
+        per_point.append(np.size(r) / self.p0.size)
+        return value_slope(self, r, *args)
 
-    monkeypatch.setattr(equation, "__call__", counting(equation.__call__))
-    monkeypatch.setattr(equation, "shear_value",
-                        counting(equation.shear_value))
+    monkeypatch.setattr(potentials._RadialEquation, "__call__", counting)
     return per_point
+
+
+def _transverse_shear(m: int, ratio: float) -> FlowSpec:
+    """A shear with |beta| = 0.7 whose |lhat| is ratio times the
+    transversality bound |log|beta|| F_m, with the phases of beta and lhat
+    away from 0."""
+    bound = -np.log(0.7) * potentials._transversality_factor(m)
+    return FlowSpec("shear", complex(m * np.log(0.7), 0.2),
+                    complex(np.log(0.7), 0.1), m, ratio * bound * (0.6 + 0.8j))
+
+
+def _mpmath_radial_time(mp, spec: FlowSpec, xi, guess):
+    """The 40-digit root of G(r) = |phi_{-r}(x)|^2 - 1 nearest guess."""
+    z1, z2 = mp.mpc(xi[0], xi[1]), mp.mpc(xi[2], xi[3])
+    lam_hat = mp.mpc(spec.lam_hat.real, spec.lam_hat.imag)
+    la, lb = mp.mpf(spec.log_alpha.real), mp.mpf(spec.log_beta.real)
+
+    def g(t):
+        if spec.kind == "diagonal":
+            return (abs(z1) ** 2 * mp.exp(-2 * t * la)
+                    + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
+        w = z1 - t * lam_hat * z2**spec.m
+        return (abs(w) ** 2 * mp.exp(-2 * spec.m * t * lb)
+                + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
+
+    return mp.findroot(g, mp.mpf(float(guess)))
 
 
 class TestFlow:
@@ -196,16 +216,16 @@ class TestRadialTime:
 
     @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2))
     def test_g_evaluations_per_solve(self, monkeypatch, params):
-        # radial times at which G is evaluated, per point.  Diagonal: the
-        # closed-form upper end, then monotone Newton on log(G + 1) (2 on
-        # case a, 5 on case b).  Shear: bracket (2, more where doubling
-        # moves an end), multiple-root scan (64), Newton from the cell's
-        # upper end.
+        # radial times at which log(G + 1) is evaluated, per point.
+        # Diagonal: the closed-form upper end, then monotone Newton (2 on
+        # case a, 5 on case b).  Shear: the doubled bracket (2, more where
+        # doubling moves an end), then Newton from its upper end (8 in all
+        # on case c and on the m = 2 shear).
         per_point = _count_g_evaluations(monkeypatch)
         spec = flow_spec_for(params)
         x = fundamental_annulus_sample(3, params, 200)
         PotentialField(spec).solve(x)
-        assert sum(per_point) <= (5 if spec.kind == "diagonal" else 75)
+        assert sum(per_point) <= (5 if spec.kind == "diagonal" else 10)
 
     @pytest.mark.parametrize("params", (CASE_A, CASE_A_CPLX))
     def test_equal_moduli_solve_takes_under_three_evaluations(
@@ -243,12 +263,22 @@ class TestRadialTime:
     ))
     def test_failed_doubling_bracket_names_the_samples(self, x, side, indices):
         # |beta| = 1 is outside every contraction: G no longer falls to -1
-        # below or grows above, so doubling never brackets the root
+        # below or grows above, so doubling never brackets the root.  The
+        # solve refuses the surface first (the transversality bound
+        # |lhat| < 0 fails, whatever the points); the bracket itself stops
+        # after 200 rounds, at 2^200, with exactly these samples still
+        # lacking the sign they need on that side
         spec = FlowSpec("shear", complex(0.0), complex(0.0), 1, 1.0 + 0j)
-        with pytest.raises(AmbiguousRadialTime,
-                           match=rf"from {side} at sample indices "
-                                 + re.escape(indices)):
+        with pytest.raises(NotPlurisubharmonic, match="not transverse"):
             PotentialField(spec).solve(x)
+        g = potentials._RadialEquation(spec, x)
+        lo, hi = potentials._doubling_bracket(g)
+        if side == "below":
+            end, unbracketed = lo, g(lo)[0] >= 0.0
+        else:
+            end, unbracketed = hi, g(hi)[0] <= 0.0
+        assert str(potentials._indices(unbracketed)) == indices
+        assert np.all(np.abs(end[unbracketed]) == 2.0**200)
 
     @pytest.mark.parametrize("params", (CASE_B, CASE_C, SHEAR_M2, CASE_A_CPLX,
                                         SMALL_MULTIPLIER))
@@ -259,19 +289,8 @@ class TestRadialTime:
         x = fundamental_annulus_sample(9, params, 8)
         r = PotentialField(spec).solve(x)
         for xi, ri in zip(x, r):
-            z1, z2 = mp.mpc(xi[0], xi[1]), mp.mpc(xi[2], xi[3])
-            lam_hat = mp.mpc(spec.lam_hat.real, spec.lam_hat.imag)
-            la, lb = mp.mpf(spec.log_alpha.real), mp.mpf(spec.log_beta.real)
-
-            def g(t):
-                if spec.kind == "diagonal":
-                    return (abs(z1) ** 2 * mp.exp(-2 * t * la)
-                            + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
-                w = z1 - t * lam_hat * z2**spec.m
-                return (abs(w) ** 2 * mp.exp(-2 * spec.m * t * lb)
-                        + abs(z2) ** 2 * mp.exp(-2 * t * lb) - 1)
-
-            assert abs(float(mp.findroot(g, mp.mpf(float(ri)))) - ri) < 1e-15
+            root = _mpmath_radial_time(mp, spec, xi, ri)
+            assert abs(float(root) - ri) < 1e-15
 
     @pytest.mark.parametrize("params", UNEQUAL_MODULI,
                              ids=lambda p: f"{p.alpha:g}-{p.beta:g}")
@@ -315,34 +334,52 @@ class TestRadialTime:
                            match=r"Newton polish failed at sample indices \[0, 1, 2, 3\]"):
             PotentialField(flow_spec_for(CASE_B)).solve(x)
 
-    def test_newton_is_kept_in_the_sign_change_cell(self, monkeypatch):
-        # G is concave near this root, which lies close to the lower end of
-        # its scan cell: Newton from the upper end overshoots below the cell
-        # and must bisect instead
+    def test_non_transverse_m3_surface_is_refused(self):
+        # |lhat| = 4.71 |log|beta|| against F_3 = 4.28: refused per surface,
+        # before this point (which a 64-point scan once solved) is looked at
         spec = flow_spec_for(ContractionParams(
             0.024008653317216758 + 0.02986386399101742j,
             0.32228494078826436 + 0.0989485882158624j,
             lam=0.18887293088847298 - 0.053856476377135455j, m=3))
         x = np.array([[0.4201743341002648, -0.11164715363458058,
                        0.9002882907661116, -0.6240144992124141]])
+        assert abs(spec.lam_hat) / -spec.log_beta.real == pytest.approx(
+            4.71, abs=0.01)
+        with pytest.raises(NotPlurisubharmonic, match=r"reduce \|lambda\|"):
+            PotentialField(spec).solve(x)
+
+    def test_newton_is_kept_in_the_doubled_bracket(self, monkeypatch):
+        # the same m = 3 surface with lambda scaled to 0.88 of the bound:
+        # Newton from the bracket's upper end 1 would land at -3.7, below
+        # its lower end -1, and must bisect instead
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        spec = flow_spec_for(ContractionParams(
+            0.024008653317216758 + 0.02986386399101742j,
+            0.32228494078826436 + 0.0989485882158624j,
+            lam=0.8 * (0.18887293088847298 - 0.053856476377135455j), m=3))
+        x = np.array([[-0.1346, -0.1781, 0.337, -0.1137]])
         equation = potentials._RadialEquation
         g = equation(spec, x)
-        lo, hi = potentials._sign_change_cell(g, *potentials._doubling_bracket(g))
+        lo, hi = potentials._doubling_bracket(g)
+        value, slope = g(hi)
+        assert (lo[0], hi[0]) == (-1.0, 1.0) and hi - value / slope < lo
         seen = []
         value_slope = equation.__call__
 
-        def recording(self, r):
+        def recording(self, r, *args):
             seen.append(np.copy(r))
-            return value_slope(self, r)
+            return value_slope(self, r, *args)
 
-        # every G and dG/dr of the solve: the cell's upper end, then each
-        # Newton or bisection iterate (the bracket and the scan take G alone)
+        # every evaluation of the solve: the bracket's ends, its upper end
+        # again, then each Newton or bisection iterate
         monkeypatch.setattr(equation, "__call__", recording)
         r = PotentialField(spec).solve(x)
-        iterates = np.concatenate(seen)
-        assert iterates[0] == hi[0] and len(iterates) > 8
+        iterates = np.concatenate(seen[2:])
+        assert iterates[0] == hi[0] and len(iterates) > 3
         assert np.all((lo <= iterates) & (iterates <= hi))
-        assert r == pytest.approx(-0.30158417115376494, abs=1e-15)  # mpmath
+        root = _mpmath_radial_time(mp, spec, x[0], r[0])
+        assert r[0] == pytest.approx(float(root), abs=1e-15)
 
     def test_solve_is_batch_independent(self):
         # each point stops at its own Newton step, whatever else is solved
@@ -400,21 +437,102 @@ class TestRadialTime:
     @pytest.mark.parametrize("x", (np.array([1e-150, 0.0, 0.0, 0.0]),
                                    np.array([[0.5, 0.0, 0.0, 0.0],
                                              [1e-150, 0.0, 0.0, 0.0]])))
-    def test_nan_on_the_bracket_is_beyond_precision(self, x):
-        # z2 = 0 and a bracket end far enough out that its exponential
-        # overflows: 0 * inf is NaN, which is no sign and no second root
-        with pytest.raises(BeyondPrecision,
-                           match=r"sample indices \[%d\]" % (x.ndim - 1)):
-            PotentialField(flow_spec_for(CASE_C)).solve(x)
+    def test_tiny_points_solve_in_log_space(self, x):
+        # z2 = 0 and a bracket doubled out to 1024, where G's exponential
+        # overflows and |z1|^2 underflows toward 0: log(G + 1) is
+        # log|z1|^2 - 2 r log|beta| there, finite, so the point solves.  On
+        # the z1 axis r = log|z1|^2 / (2 log|beta|)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        spec = flow_spec_for(CASE_C)
+        points = np.atleast_2d(x)
+        r = np.atleast_1d(PotentialField(spec).solve(x))
+        assert r[-1] == pytest.approx(676.136, abs=1e-3)
+        closed = np.log(points[:, 0] ** 2) / (2 * np.log(0.6))
+        assert np.allclose(r, closed, rtol=1e-15, atol=0.0)
+        for xi, ri in zip(points, r):
+            root = _mpmath_radial_time(mp, spec, xi, ri)
+            assert abs(float(root) - ri) <= 1e-15 * (1 + abs(ri))
+
+    def test_slope_stays_finite_where_w_is_tiny(self):
+        # |z1 - r s| below 1e-154 near the root: e^{-2 r log|beta|} / (G + 1)
+        # would overflow to an infinite slope, which stops Newton with
+        # log(G + 1) still at 319; the ratios |s| / |w| and
+        # (r |s| - c) / |w| stay finite.  |z2|^2 = 1e-320 is subnormal, so only about 12 digits of
+        # the point reach the solve
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        spec = flow_spec_for(CASE_C)
+        x = np.array([1e-160, 0.0, 1e-160, 0.0])
+        r = PotentialField(spec).solve(x)
+        root = _mpmath_radial_time(mp, spec, x, r)
+        assert abs(float(root) - r) <= 1e-11 * (1 + abs(r))
 
     def test_shear_multiple_roots_rejected(self):
         # a huge shear coefficient makes |z1 - r lhat z2|^2 dip through the
-        # sphere again after the first crossing: three sign changes on the
-        # bracket, which the 64-point scan must catch
+        # sphere again after the first crossing (|lhat| = 240 against the
+        # bound 2 |log 0.5| = 1.39).  The surface is refused whatever the
+        # point, also on the z1 axis, where the radial time is unique and a
+        # 64-point scan once solved it
         params = ContractionParams(0.5, 0.5, lam=120.0, m=1)
         spec = flow_spec_for(params)
-        with pytest.raises(AmbiguousRadialTime):
-            PotentialField(spec).solve(np.array([[0.72, 0.0, 0.01, 0.0]]))
+        for x in ([[0.72, 0.0, 0.01, 0.0]], [[0.72, 0.0, 0.0, 0.0]]):
+            with pytest.raises(NotPlurisubharmonic, match="not transverse"):
+                PotentialField(spec).solve(np.array(x))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+class TestTransversalityBound:
+    """The shear's radial time is unique exactly when |lhat| is below
+    |log|beta|| F_m; at 0.99 of the bound every point solves, at 1.01 the
+    surface is refused and some orbits cross S^3 three times."""
+
+    def test_factor_is_the_least_of_the_quotient(self, m):
+        theta = np.linspace(0.0, np.pi / 2, 200_001)[1:-1]
+        c, s = np.cos(theta), np.sin(theta)
+        least = np.min((m * c**2 + s**2) / (c * s**m))
+        factor = potentials._transversality_factor(m)
+        assert factor == pytest.approx(least, rel=1e-9)
+        assert factor == pytest.approx(
+            {1: 2.0, 2: 3.3302, 3: 4.2831, 4: 5.0625}[m], abs=1e-4)
+
+    def test_solves_just_below_the_bound(self, m):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        spec = _transverse_shear(m, 0.99)
+        x = fundamental_annulus_sample(7, spec, 200) * np.exp(
+            np.linspace(-3, 3, 200))[:, None]
+        r = PotentialField(spec).solve(x)
+        g = potentials._RadialEquation(spec, x)
+        _, slope = g(r)
+        for i in range(0, 200, 50):
+            root = _mpmath_radial_time(mp, spec, x[i], r[i])
+            assert abs(float(root) - r[i]) <= 1e-15 * (1 + abs(r[i])) / min(
+                1.0, slope[i])
+
+    @pytest.mark.parametrize("n", (1, 200))
+    def test_refused_just_above_the_bound(self, m, n):
+        spec = _transverse_shear(m, 1.01)
+        x = fundamental_annulus_sample(7, spec, n)
+        with pytest.raises(NotPlurisubharmonic, match=r"reduce \|lambda\|"):
+            PotentialField(spec).solve(x)
+
+    @pytest.mark.parametrize("ratio, crossings", ((0.99, 1), (1.01, 3)))
+    def test_crossings_beside_the_worst_point(self, m, ratio, crossings):
+        # the worst point of S^3: |z1| = cos t, |z2| = sin t with
+        # tan^2 t = u and conj(z1) lhat z2^m > 0; scaled off S^3 by 1e-6
+        spec = _transverse_shear(m, ratio)
+        u = m - 1 + np.hypot(m - 1, m)
+        t = np.arctan(np.sqrt(u))
+        z1 = np.cos(t) * spec.lam_hat / abs(spec.lam_hat) * (1 + 1e-6)
+        z2 = np.sin(t) * (1 + 1e-6)
+        lb = spec.log_beta.real
+        r = np.linspace(-4.0, 4.0, 400_001)
+        g = (np.abs(z1 - r * spec.lam_hat * z2**m) ** 2 * np.exp(-2 * m * r * lb)
+             + z2**2 * np.exp(-2 * r * lb) - 1.0)
+        negative = g < 0.0
+        assert negative[0] and not negative[-1]
+        assert np.count_nonzero(negative[1:] != negative[:-1]) == crossings
 
 
 class TestPotential:
