@@ -199,10 +199,13 @@ def assemble_from_triple(triple: QuotientTriple,
 
 #: Step of the one stencil cloud, as a multiple of fd_step.  Its second
 #: partials err by O(H^4) truncation plus roundoff over H^2.  Over cases a,
-#: b, c and the m = 2 shear at t = 0.15, 0.3 and 0.45 (32 samples each) the
-#: worst derivative family is lee_sum_tau at 0.017 of its tier at 3x (the
-#: shear at t = 0.45); second partials at 10x failed lee_sum_closed there at
-#: 3.4x its tier, and at 2x roundoff grows on cases a, b and c.
+#: b, c and the m = 2 shear at t = 0.15, 0.3 and 0.45 (32 samples each,
+#: seed 7) the worst derivative families at 3x, all on the shear at
+#: t = 0.45, are lee_sum_tau at 0.036 of its tier, lee_sum_closed at 0.016
+#: and lee_scalar at 0.0052.  At 10x the shear fails lee_sum_tau at 4.5x its
+#: tier and lee_sum_closed at 2.0x; at 2x its worst family falls to 0.0072,
+#: but roundoff doubles case a's second-order families (lee_sum_closed at
+#: 5.9e-5 of its tier against 2.5e-5), and at 1x it multiplies them by 9.
 STENCIL_SCALE = 3.0
 
 
@@ -489,7 +492,7 @@ def check_field_families(field: StructureField, center: BihermitianSample,
 
     The field is evaluated once: each sample's stencil cloud rows (with
     ``with_differential``), then its k deck images, as one entry of the
-    leading axis, shape (n, 65 + k, 4) or (n, k, 4).  A chunk of the
+    leading axis, shape (n, 41 + k, 4) or (n, k, 4).  A chunk of the
     parallel map holds whole entries, so a sample's cloud and images share
     one step sequence and chunking does not depend on the thread count.
     """

@@ -242,40 +242,52 @@ def stencil_step(x: np.ndarray, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
 
 
 class StencilCloud:
-    """Richardson stencil around base points: +-h and +-h/2 along each axis
-    (16 rows per base point) and, with ``mixed``, the corners (+-h, +-h)
-    and (+-h/2, +-h/2) of each coordinate plane and the base point itself
-    (65 rows), so that a field evaluated on the cloud supplies the centre
-    of its own second differences (for the flow: one step sequence).
-    ``points`` has shape x.shape[:-1] + (rows, 4), one cloud per base point.
+    """Richardson stencil around base points.  ``points`` has shape
+    x.shape[:-1] + (rows, 4), one cloud per base point, with the rows
+
+    * 0-15: +h, -h, +h/2, -h/2 along each axis in turn (all a plain cloud
+      has; ``partials`` reads only these);
+    * 16-39, with ``mixed``: the corners (+h, +h) and (-h, -h), then
+      (+h/2, +h/2) and (-h/2, -h/2), of each coordinate plane (i, j),
+      i < j, in order;
+    * 40, with ``mixed``: the base point itself, so that a field evaluated
+      on the cloud supplies the centre of its own second differences (for
+      the flow: one step sequence).
 
     Each derivative is a central difference at steps h and h/2 (weights as
     in Fornberg 1988, *Generation of finite difference formulas on
-    arbitrarily spaced grids*) extrapolated to O(h^4).
+    arbitrarily spaced grids*) extrapolated to O(h^4).  A mixed partial at
+    step H is the seven-point formula (Abramowitz and Stegun, *Handbook of
+    Mathematical Functions*, sec. 25.3)
+
+        d_i d_j f = [f(+H, +H) + f(-H, -H) - f(+H, 0) - f(-H, 0)
+                     - f(0, +H) - f(0, -H) + 2 f(0)] / (2 H^2) + O(H^2),
+
+    whose error is even in H, so it takes the same extrapolation and reuses
+    the axial rows.
     """
 
     _OFFSETS = (1.0, -1.0, 0.5, -0.5)
-    _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
     _PAIRS = tuple(itertools.combinations(range(4), 2))
     # rows of one base point's cloud: the axial points by (direction,
-    # offset), then the corners by (plane, step h or h/2, corner), then the
-    # centre
+    # offset), then the corners by (plane, step h or h/2, corner ++ or --),
+    # then the centre
     _AXIAL = np.arange(16).reshape(4, 4)
-    _CORNER_ROWS = 16 + np.arange(48).reshape(6, 2, 4)
-    _CENTRE_ROW = 64
+    _CORNER_ROWS = 16 + np.arange(24).reshape(6, 2, 2)
+    _CENTRE_ROW = 40
 
     def __init__(self, x: np.ndarray, h: np.ndarray, mixed: bool = False):
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        disp = np.zeros((65 if mixed else 16, 4))
+        disp = np.zeros((self._CENTRE_ROW + 1 if mixed else 16, 4))
         for d in range(4):
             for o, s in enumerate(self._OFFSETS):
                 disp[self._AXIAL[d, o], d] = s
         if mixed:
             for p, plane in enumerate(self._PAIRS):
                 for k, scale in enumerate((1.0, 0.5)):
-                    rows = self._CORNER_ROWS[p, k][:, None]
-                    disp[rows, plane] = scale * self._CORNERS
+                    disp[self._CORNER_ROWS[p, k, 0], plane] = scale
+                    disp[self._CORNER_ROWS[p, k, 1], plane] = -scale
         self.base_shape = x.shape[:-1]
         self.h = h
         self.points = x[..., None, :] + h[..., None, None] * disp
@@ -307,22 +319,23 @@ class StencilCloud:
         h2 = self._step(values) ** 2
         c2 = 2.0 * self._at(values, [self._CENTRE_ROW])
         v0, v1, v2, v3 = (self._at(values, self._AXIAL[:, o]) for o in range(4))
-        diag_h = (v0 + v1 - c2) / h2
-        diag_half = 4.0 * (v2 + v3 - c2) / h2
-
-        def corners(k):  # f(++) - f(+-) - f(-+) + f(--) at step k
-            pp, pm, mp, mm = (self._at(values, self._CORNER_ROWS[:, k, c])
-                              for c in range(4))
-            return pp - pm - mp + mm
-
-        mixed_h = corners(0) / (4.0 * h2)
-        mixed_half = corners(1) / h2
-        out = np.empty(self.base_shape + (4, 4) + values.shape[nb + 1:],
-                       dtype=diag_h.dtype)
-        lead = (slice(None),) * nb
+        # H^2 d_i^2 f along each axis, at H = h and H = h/2
+        axial = (v0 + v1 - c2, v2 + v3 - c2)
         i, j = np.array(self._PAIRS).T
-        out[lead + (np.arange(4),) * 2] = (4.0 * diag_half - diag_h) / 3.0
-        out[lead + (i, j)] = out[lead + (j, i)] = (4.0 * mixed_half - mixed_h) / 3.0
+
+        def mixed(k):  # 2 H^2 d_i d_j f on each plane, at H = h / 2^k
+            pp, mm = (self._at(values, self._CORNER_ROWS[:, k, c])
+                      for c in range(2))
+            return (pp + mm - c2 - self._at(axial[k], i)
+                    - self._at(axial[k], j))
+
+        diag = (16.0 * axial[1] - axial[0]) / (3.0 * h2)
+        out = np.empty(self.base_shape + (4, 4) + values.shape[nb + 1:],
+                       dtype=diag.dtype)
+        lead = (slice(None),) * nb
+        out[lead + (np.arange(4),) * 2] = diag
+        out[lead + (i, j)] = out[lead + (j, i)] = (
+            (16.0 * mixed(1) - mixed(0)) / (6.0 * h2))
         return out
 
     def d_two_form(self, values: np.ndarray) -> np.ndarray:

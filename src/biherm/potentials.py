@@ -171,30 +171,37 @@ def _transversality_factor(m: int) -> float:
 class _RadialEquation:
     """L(r) = log(G(r) + 1) = log|phi_{-r}(x)|^2 at N fixed points x, and
     its r-derivative, in log space from the moduli of x that do not depend
-    on r, formed once per solve.  A diagonal flow keeps |z1|^2, |z2|^2 and
-    their logarithms.  A shear keeps, with s = lhat z2^m, |s| and
-    c + i d = conj(z1) s / |s| (conj(z1) where s = 0), so that
+    on r, formed once per solve.  A diagonal flow keeps log|z1|^2 and
+    log|z2|^2.  A shear keeps, with s = lhat z2^m and e^K the larger of
+    |z1| and |s|, the scaled |s| e^{-K} and c + i d = conj(z1) e^{-K} s / |s|
+    (conj(z1) e^{-K} where s = 0), so that
 
-        |z1 - r s|^2 = (r |s| - c)^2 + d^2
+        |z1 - r s|^2 = e^{2K} ((r |s| e^{-K} - c)^2 + d^2)
 
-    is a sum of two squares, which never rounds below 0, and log|z2|^2.  G
-    sees the flow only through moduli, so r does not depend on the chosen
-    arguments of alpha^t, beta^t.  The radial times r have shape (N,), or
-    that of the points ``at`` (an index of the N points) selects."""
+    is a sum of two squares, which never rounds below 0, and log|z2|^2.
+    Every modulus is carried as a logarithm (log|s| = log|lhat| +
+    m log|z2|), so no term of G over- or underflows far from S^3.  G sees the flow only through moduli, so r
+    does not depend on the chosen arguments of alpha^t, beta^t.  The radial
+    times r have shape (N,), or that of the points ``at`` (an index of the
+    N points) selects."""
 
     def __init__(self, spec: FlowSpec, x: np.ndarray):
         z = to_complex(x)
         self.spec = spec
-        self.p0 = np.abs(z[:, 0]) ** 2
-        self.q = np.abs(z[:, 1]) ** 2
+        # |z1|, |z2| by hypot: no square under- or overflows
+        self.abs_z = abs_z = np.abs(z)
         with np.errstate(divide="ignore"):  # a zero coordinate: -inf
-            self.log_p0, self.log_q = np.log(self.p0), np.log(self.q)
+            log_abs = np.log(abs_z)
+        self.log_p0, self.log_q = 2.0 * log_abs[:, 0], 2.0 * log_abs[:, 1]
         if spec.kind == "shear":
-            s = spec.lam_hat * z[:, 1] ** spec.m
-            self.abs_s = np.abs(s)
-            unit = np.divide(s, self.abs_s, out=np.ones_like(s),
-                             where=self.abs_s > 0.0)
-            proj = np.conj(z[:, 0]) * unit
+            with np.errstate(divide="ignore"):
+                log_s = math.log(abs(spec.lam_hat)) + spec.m * log_abs[:, 1]
+            scale = np.maximum(log_abs[:, 0], log_s)
+            self.log_scale2 = 2.0 * scale
+            self.abs_s = np.exp(log_s - scale)
+            unit = np.divide(z, abs_z, out=np.ones_like(z), where=abs_z > 0.0)
+            proj = (np.conj(unit[:, 0]) * np.exp(log_abs[:, 0] - scale)
+                    * spec.lam_hat / abs(spec.lam_hat) * unit[:, 1] ** spec.m)
             self.c, self.d = proj.real, proj.imag
 
     def __call__(self, r: np.ndarray, at=slice(None)):
@@ -217,7 +224,7 @@ class _RadialEquation:
         arm = r * abs_s - self.c[at]
         abs_w = np.hypot(arm, self.d[at])
         with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: -inf
-            u1 = 2.0 * np.log(abs_w) - 2.0 * m * lb * r
+            u1 = self.log_scale2[at] + 2.0 * np.log(abs_w) - 2.0 * m * lb * r
             u2 = self.log_q[at] - 2.0 * lb * r
             value = np.logaddexp(u1, u2)
             w1 = np.exp(u1 - value)
@@ -240,12 +247,14 @@ def _closed_form_bracket(g: _RadialEquation):
     with lbar the mean of the l_i weighted by |z_i|^2, so G >= 0 at
     hi = log|x|^2 / (2 lbar).  Where hi is the root (|alpha| = |beta| or a
     zero coordinate), rounding can put it an ulp below; ``_rtsafe`` then
-    keeps it, since its Newton step would leave the bracket [hi, hi].
+    keeps it, since its Newton step would leave the bracket [hi, hi].  The
+    weights are (|z_i| / |x|)^2, so no square of a modulus is formed.
     """
     spec = g.spec
     la, lb = spec.log_alpha.real, spec.log_beta.real
-    norm2 = g.p0 + g.q
-    return np.log(norm2) / (2.0 * (g.p0 * la + g.q * lb) / norm2)
+    norm = np.hypot(g.abs_z[:, 0], g.abs_z[:, 1])
+    share1, share2 = (g.abs_z / norm[:, None]).T ** 2
+    return np.log(norm) / (share1 * la + share2 * lb)
 
 
 def _doubling_bracket(g: _RadialEquation):
@@ -259,8 +268,8 @@ def _doubling_bracket(g: _RadialEquation):
     the polish check."""
     ends = []
     for start, wrong in ((-1.0, np.greater_equal), (1.0, np.less_equal)):
-        end = np.full(g.p0.shape, start)
-        need = np.ones(g.p0.shape, dtype=bool)
+        end = np.full(g.log_p0.shape, start)
+        need = np.ones(g.log_p0.shape, dtype=bool)
         for _ in range(200):
             need[need] = wrong(g(end[need], need)[0], 0.0)
             if not np.any(need):
@@ -458,9 +467,11 @@ class PotentialField:
         spec = self.spec
         if spec.kind == "shear":
             bound = -spec.log_beta.real * _transversality_factor(spec.m)
-            if not abs(spec.lam_hat) < bound:
+            # hypot: inf, not OverflowError, past the largest double
+            abs_lhat = math.hypot(spec.lam_hat.real, spec.lam_hat.imag)
+            if not abs_lhat < bound:
                 raise NotPlurisubharmonic(
-                    f"|lambda / beta^m| = {abs(spec.lam_hat):.6g} is not below "
+                    f"|lambda / beta^m| = {abs_lhat:.6g} is not below "
                     f"|log|beta|| F_m = {bound:.6g}: the flow is not "
                     "transverse to S^3, so the radial time is not unique; "
                     "reduce |lambda| and rerun")

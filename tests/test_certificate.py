@@ -58,6 +58,9 @@ EPS3 = np.exp(2j * np.pi / 3)
 # gamma and the generator of H = <diag(eps, 1/eps)>, eps^3 = 1, for CASE_B
 CASE_B_DECK = [ContractionPower(CASE_B, 1),
                UnitaryElement(np.diag([EPS3, 1 / EPS3]))]
+#: rows of one mixed stencil cloud
+CLOUD_ROWS = StencilCloud(np.zeros((1, 4)), np.ones(1),
+                          mixed=True).points.shape[-2]
 
 
 def build_sample(params, t, n=20, seed=3):
@@ -316,9 +319,9 @@ class TestDifferentialBattery:
 
     @pytest.mark.parametrize("shape, slices", [
         ((CHUNK + 1, 4), [CHUNK, 1]),
-        # 126 clouds of 65 points fill 8190 of the CHUNK = 8192
-        ((127, 65, 4), [126, 1]),
-        ((3, 2, 65, 4), [3]),
+        # whole clouds up to CHUNK = 8192 rows, then the rest
+        ((CHUNK // CLOUD_ROWS + 1, CLOUD_ROWS, 4), [CHUNK // CLOUD_ROWS, 1]),
+        ((3, 2, CLOUD_ROWS, 4), [3]),
     ])
     def test_chunks_hold_whole_entries_of_the_leading_axis(self, shape,
                                                            slices):
@@ -334,13 +337,13 @@ class TestDifferentialBattery:
 
     def test_no_cloud_straddles_two_chunks(self):
         # each chunk of rows is one integration with its own step sequence;
-        # 65-row clouds do not tile CHUNK = 8192 rows, and sample 126 of 127
-        # would put its +-h x1 arms in one chunk and its centre in the next.
-        # Whole clouds per chunk: it is integrated as if alone.
+        # clouds do not tile CHUNK = 8192 rows (41 rows each: the last of
+        # 200 samples would put its first arms in one chunk and its centre in
+        # the next).  Whole clouds per chunk: it is integrated as if alone.
         spec = flow_spec_for(CASE_B)
         field = StructureField(spec, 0.3)
-        n = 127
-        assert 65 * n > CHUNK > 65 * (n - 1)
+        n = CHUNK // CLOUD_ROWS + 1
+        assert CLOUD_ROWS * n > CHUNK > CLOUD_ROWS * (n - 1)
         center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
         together = lee_differentials(center, cloud_lee_forms(field, center))
         last = center.subset([n - 1])
@@ -350,15 +353,15 @@ class TestDifferentialBattery:
             assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))) < 1e-9
 
     def test_no_sample_straddles_two_chunks(self):
-        # a certificate's batch at t holds each sample's 65 cloud rows and
-        # its k deck images as one entry; 67-row entries do not tile CHUNK,
-        # and the last of 123 samples would otherwise have its cloud in one
-        # chunk and its images in the next
+        # a certificate's batch at t holds each sample's cloud rows and its
+        # k deck images as one entry; these entries (43 rows) do not tile
+        # CHUNK, and the last of 191 samples would otherwise have its cloud
+        # in one chunk and its images in the next
         spec = flow_spec_for(CASE_B)
         field = StructureField(spec, 0.3)
         elements = CASE_B_DECK
-        rows = 65 + len(elements)
-        n = 123
+        rows = CLOUD_ROWS + len(elements)
+        n = CHUNK // rows + 1
         assert rows * (n - 1) < CHUNK < rows * n
         center = field.assemble(fundamental_annulus_sample(12, CASE_B, n))
         together = check_field_families(field, center, elements, True)
@@ -369,7 +372,7 @@ class TestDifferentialBattery:
             assert abs(value[n - 1] - alone[name][0]) < 1e-9, name
 
     def test_flow_points_per_sample(self, monkeypatch):
-        # one integration of each sample's 65-point mixed cloud (its base
+        # one integration of each sample's mixed cloud (its base
         # row the centre of the second differences) and its k deck images
         # serves the first and second partials and equivariance
         import biherm.deformation
@@ -388,7 +391,26 @@ class TestDifferentialBattery:
 
         monkeypatch.setattr(biherm.deformation, "_flow_states", counting)
         check_field_families(field, center, elements, True)
-        assert points == [(65 + len(elements)) * n]
+        assert points == [(CLOUD_ROWS + len(elements)) * n]
+
+    @pytest.mark.parametrize("params", (CASE_A, CASE_B, CASE_C, SHEAR_M2),
+                             ids=("a", "b", "c", "shear_m2"))
+    def test_stencil_scale_keeps_derivative_families_in_tier(self, params):
+        # the grid that STENCIL_SCALE's comment quotes: at t = 0.15, 0.3 and
+        # 0.45 every derivative family stays within 0.1 of its tier (the
+        # worst, lee_sum_tau on the shear at t = 0.45, reads 0.036)
+        families = ("quotient_leibniz_phi", "quotient_leibniz_psi_plus",
+                    "quotient_leibniz_psi_minus", "canonical_factor",
+                    "type_one_two_part", "nijenhuis_j_minus", "lee_scalar",
+                    "lee_sum_selfdual", "lee_sum_closed", "lee_sum_tau")
+        for t in (0.15, 0.3, 0.45):
+            report = run_certificate(CertificateConfig(
+                data=HopfGroupData(params), t=t, n=32, seed=7))
+            kept = report.n - report.excluded_samples
+            for name in families:
+                stats = report.identities[name]
+                assert stats.count == kept > 0, (name, t)
+                assert stats.max <= 0.1 * report.tolerances[name], (name, t)
 
 
 class TestIntegrabilityDetector:
@@ -475,9 +497,9 @@ class TestRunCertificate:
 
     def test_pool_sizes_give_identical_report_bytes(self, monkeypatch):
         # at CHUNK = 8192 a small run is one chunk and the pool never runs;
-        # at 130 each chunk holds one sample's 67 rows (its 65-point cloud
-        # and its 2 deck images), so the batch at t takes several chunks and
-        # threads = 2 runs them in the pool
+        # at 130 each chunk holds three samples' 43 rows (each a 41-point
+        # cloud and 2 deck images), so the batch at t of 5 samples takes two
+        # chunks and threads = 2 runs them in the pool
         monkeypatch.setattr(biherm.reporting, "CHUNK", 130)
         chunk_threads = []
         chunked = biherm.certificate.chunked_map
@@ -581,7 +603,7 @@ class TestRunCertificate:
     def test_two_flow_integrations_per_certificate(self, monkeypatch,
                                                    with_differential):
         # the sweep's one trajectory through its grid, then one batch at t*:
-        # each kept sample's 65 cloud rows (with the differential families)
+        # each kept sample's cloud rows (with the differential families)
         # and its k deck images
         import biherm.deformation
 
@@ -599,7 +621,7 @@ class TestRunCertificate:
         report = run_certificate(cfg)
         assert report.passed and report.sweep is not None
         kept = cfg.n - report.excluded_samples
-        rows = 65 * with_differential + 1 + len(gens)
+        rows = CLOUD_ROWS * with_differential + 1 + len(gens)
         assert batches == [(cfg.n,), (kept, rows)]
 
     @pytest.mark.parametrize("t", (None, 0.2))

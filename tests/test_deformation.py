@@ -233,12 +233,12 @@ class TestDop853:
             assert sum(e) == pytest.approx(0.0, abs=1e-14)
 
     def test_stencil_cloud_to_half_takes_ten_steps(self, monkeypatch):
-        # a case-b mixed cloud (65 points per sample) integrated to t = 0.5:
+        # a case-b mixed cloud (41 points per sample) integrated to t = 0.5:
         # one start-up evaluation and 12 per step, at most ten steps
         spec = flow_spec_for(CASE_B)
         x = fundamental_annulus_sample(7, CASE_B, 4)
         cloud = StencilCloud(x, stencil_step(x, 3e-3), mixed=True)
-        assert cloud.points.shape == (4, 65, 4)
+        assert cloud.points.shape == (4, 41, 4)
         seen = counting_rhs(monkeypatch)
         integrate_flow(spec, 0.5, cloud.points)
         assert len(seen) <= 121

@@ -307,12 +307,42 @@ class TestSecondPartials:
 
         x = rng.standard_normal((3, 2, 4)) * 0.5
         cloud = StencilCloud(x, np.full((3, 2), 0.1), mixed=True)
-        assert cloud.points.shape == (3, 2, 65, 4)
+        # 16 axial rows, 2 corners at 2 steps on each of 6 planes, the centre
+        assert cloud.points.shape == (3, 2, 41, 4)
         hess = cloud.second_partials(field(cloud.points))
         exact = 12.0 * np.einsum("...k,...l,ijkl->...ij", x, x, sym4) + 2.0 * quad
         assert hess.shape == (3, 2, 4, 4, 2)
         assert np.max(np.abs(hess[..., 0] - exact)) < 1e-8
         assert np.max(np.abs(hess[..., 1] - 2.0 * quad)) < 1e-8
+
+    def test_mixed_partials_converge_at_fourth_order(self):
+        # on a smooth field that is no polynomial, halving h divides the
+        # error of the seven-point mixed entries by about 2^4 = 16
+        mp = pytest.importorskip("mpmath")
+
+        def field(p):
+            return (np.exp(0.3 * p[..., 0] - 0.2 * p[..., 1]
+                           + 0.5 * p[..., 2] * p[..., 3])
+                    * np.sin(p[..., 0] * p[..., 2] + 0.7 * p[..., 1]))
+
+        def field_mp(a, b, c, d):
+            return mp.exp(0.3 * a - 0.2 * b + 0.5 * c * d) * mp.sin(a * c + 0.7 * b)
+
+        x = np.array([0.4, -0.3, 0.6, 0.5])
+        i, j = np.triu_indices(4, 1)
+        orders = [tuple(int(k == a) + int(k == b) for k in range(4))
+                  for a, b in zip(i, j)]
+        with mp.workdps(40):
+            point = [mp.mpf(v) for v in x]
+            exact = np.array([float(mp.diff(field_mp, point, order))
+                              for order in orders])
+        errors = []
+        for h in (0.1, 0.05, 0.025, 0.0125):
+            cloud = StencilCloud(x[None], np.array([h]), mixed=True)
+            hess = cloud.second_partials(field(cloud.points))[0]
+            errors.append(np.max(np.abs(hess[i, j] - exact)))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios >= 12.0) & (ratios <= 20.0)), (errors, ratios)
 
     def test_axial_points_lead_the_mixed_cloud(self):
         # partials read the 16 axial points whichever cloud they come from

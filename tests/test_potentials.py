@@ -59,7 +59,7 @@ def _count_g_evaluations(monkeypatch) -> list:
     value_slope = potentials._RadialEquation.__call__
 
     def counting(self, r, *args):
-        per_point.append(np.size(r) / self.p0.size)
+        per_point.append(np.size(r) / self.log_p0.size)
         return value_slope(self, r, *args)
 
     monkeypatch.setattr(potentials._RadialEquation, "__call__", counting)
@@ -348,6 +348,13 @@ class TestRadialTime:
         with pytest.raises(NotPlurisubharmonic, match=r"reduce \|lambda\|"):
             PotentialField(spec).solve(x)
 
+    def test_shear_coefficient_beyond_doubles_is_refused(self):
+        # |lhat| = 2.4e308 overflows abs() of the complex; the surface is
+        # refused like any other past the bound, not with an OverflowError
+        spec = flow_spec_for(ContractionParams(0.6, 0.6, lam=1e308 + 1e308j))
+        with pytest.raises(NotPlurisubharmonic, match=r"= inf is not below"):
+            PotentialField(spec).solve(np.array([0.5, 0.0, 0.5, 0.0]))
+
     def test_newton_is_kept_in_the_doubled_bracket(self, monkeypatch):
         # the same m = 3 surface with lambda scaled to 0.88 of the bound:
         # Newton from the bracket's upper end 1 would land at -3.7, below
@@ -458,15 +465,33 @@ class TestRadialTime:
         # |z1 - r s| below 1e-154 near the root: e^{-2 r log|beta|} / (G + 1)
         # would overflow to an infinite slope, which stops Newton with
         # log(G + 1) still at 319; the ratios |s| / |w| and
-        # (r |s| - c) / |w| stay finite.  |z2|^2 = 1e-320 is subnormal, so only about 12 digits of
-        # the point reach the solve
+        # (r |s| - c) / |w| stay finite.  |z2|^2 = 1e-320 would be
+        # subnormal, but the solve only takes logarithms of moduli, so every
+        # digit of the point reaches it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         spec = flow_spec_for(CASE_C)
         x = np.array([1e-160, 0.0, 1e-160, 0.0])
         r = PotentialField(spec).solve(x)
         root = _mpmath_radial_time(mp, spec, x, r)
-        assert abs(float(root) - r) <= 1e-11 * (1 + abs(r))
+        assert abs(float(root) - r) <= 1e-15 * (1 + abs(r))
+
+    @pytest.mark.parametrize("x, expected", (
+        ([0.0, 0.0, 1e120, 0.0], -778.146),
+        ([0.0, 0.0, 1e-110, 0.0], 706.751),
+        ([1e100, 0.0, 1e120, 0.0], -778.146),
+    ))
+    def test_far_points_keep_the_shear_term(self, x, expected):
+        # s = lhat z2^3 overflows (1e360) or underflows (5e-332) as a
+        # double; in logarithms it is neither, so the root keeps the shear
+        # term (without it the second point's root would be 710.13)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = np.array(x)
+        r = PotentialField(SHEAR_M3).solve(x)
+        assert r == pytest.approx(expected, abs=1e-3)
+        root = _mpmath_radial_time(mp, SHEAR_M3, x, r)
+        assert abs(float(root) - r) <= 1e-15 * (1 + abs(r))
 
     def test_shear_multiple_roots_rejected(self):
         # a huge shear coefficient makes |z1 - r lhat z2|^2 dip through the
